@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import TransformError
 from ..graphs.csr import CSRGraph
-from ..graphs.properties import clustering_coefficients
+from ..graphs.properties import cc_from_counts, clustering_coefficients
 from ..gpusim.device import DeviceConfig, K40C
 from .knobs import SharedMemoryKnobs
 
@@ -76,22 +76,9 @@ class SharedMemoryPlan:
 def _undirected_adjacency(graph: CSRGraph) -> list[set[int]]:
     """Neighbor sets of the undirected view, for pairwise CC reasoning."""
     und = graph.to_undirected()
-    return [set(und.neighbors(v).tolist()) for v in range(und.num_nodes)]
-
-
-def _cc_of(adj: list[set[int]], v: int) -> float:
-    nbrs = adj[v]
-    d = len(nbrs)
-    if d < 2:
-        return 0.0
-    links = 0
-    nl = list(nbrs)
-    for i, a in enumerate(nl):
-        sa = adj[a]
-        for b in nl[i + 1 :]:
-            if b in sa:
-                links += 1
-    return 2.0 * links / (d * (d - 1))
+    off = und.offsets.tolist()
+    ind = und.indices.tolist()
+    return [set(ind[off[v] : off[v + 1]]) for v in range(und.num_nodes)]
 
 
 def plan_shared_memory(
@@ -105,25 +92,32 @@ def plan_shared_memory(
     if n == 0:
         raise TransformError("cannot plan shared memory for an empty graph")
 
-    cc = clustering_coefficients(graph)
+    # a copy: case 1 updates cc in place, and with repro.cache enabled the
+    # returned array is the memoized one
+    cc = clustering_coefficients(graph).copy()
     budget = int(knobs.edge_budget_fraction * graph.num_edges)
     adj = _undirected_adjacency(graph)
     degrees = np.array([len(s) for s in adj], dtype=np.int64)
+    # exact triangle counts, maintained as edges are added: cc is a
+    # correctly rounded quotient of tri / C(deg, 2), so rint recovers the
+    # integer exactly for any count far below 2**50
+    tri = np.rint(cc * (degrees * (degrees - 1) / 2.0)).astype(np.int64).tolist()
 
     new_src: list[int] = []
     new_dst: list[int] = []
     new_w: list[float] = []
     weighted = graph.is_weighted
-    # weight lookup for 2-hop path sums on the directed graph
-    w_of: dict[tuple[int, int], float] = {}
-    if weighted:
-        srcs = graph.edge_sources()
-        for s, d, x in zip(
-            srcs.tolist(), graph.indices.tolist(), graph.weights.tolist()
-        ):
-            key = (s, d)
-            if key not in w_of or x < w_of[key]:
-                w_of[key] = x
+    offsets, indices, weights = graph.offsets, graph.indices, graph.weights
+
+    def hop_weight(x: int, y: int) -> float:
+        # lightest x->y arc, else lightest y->x arc, else 1.0; looked up
+        # per added edge rather than tabulating every arc up front
+        for s, d in ((x, y), (y, x)):
+            lo, hi = offsets[s], offsets[s + 1]
+            hits = np.flatnonzero(indices[lo:hi] == d)
+            if hits.size:
+                return min(weights[lo + hits].tolist())
+        return 1.0
 
     def path_weight(a: int, mid: int, b: int) -> float:
         # §3 gives no weight rule for its added edges (§4's sum rule is
@@ -132,9 +126,9 @@ def plan_shared_memory(
         # weights: the new sibling edge then genuinely perturbs weighted
         # algorithms (it can undercut the 2-hop path), which is the source
         # of this technique's higher measured inaccuracy.
-        wa = w_of.get((a, mid), w_of.get((mid, a), 1.0))
-        wb = w_of.get((mid, b), w_of.get((b, mid), 1.0))
-        return (wa + wb) / 2.0
+        if not weighted:
+            return 1.0
+        return (hop_weight(a, mid) + hop_weight(mid, b)) / 2.0
 
     def emit(a: int, b: int, weight: float) -> None:
         # one logical (undirected) addition = two directed arcs
@@ -142,6 +136,12 @@ def plan_shared_memory(
         new_dst.extend((b, a))
         if weighted:
             new_w.extend((weight, weight))
+        # the new edge closes one triangle through each common neighbour
+        common = adj[a] & adj[b]
+        tri[a] += len(common)
+        tri[b] += len(common)
+        for w in common:
+            tri[w] += 1
         adj[a].add(b)
         adj[b].add(a)
 
@@ -175,7 +175,8 @@ def plan_shared_memory(
                 mid = min(common)
                 emit(a, b, path_weight(a, mid, b))
                 added += 2
-                cur = _cc_of(adj, v)
+                d = len(adj[v])
+                cur = 2.0 * tri[v] / (d * (d - 1))
                 cc[v] = cur
                 if cur >= knobs.cc_threshold or added >= budget:
                     done = True
@@ -235,19 +236,19 @@ def plan_shared_memory(
         added = 0
 
     # ---- pick clusters under the shared-memory capacity ---------------------
-    final_cc = clustering_coefficients(out_graph)
+    # adj now holds exactly out_graph's undirected view: every emitted pair
+    # was a non-adjacent, distinct 2-hop pair
+    final_cc = cc_from_counts(tri, [len(s) for s in adj])
     capacity = device.shared_mem_words
     resident = np.zeros(n, dtype=bool)
     clusters: list[np.ndarray] = []
-    und = out_graph.to_undirected()
     for v in np.argsort(-final_cc):
         v = int(v)
         if final_cc[v] < knobs.cc_threshold:
             break
         if resident[v]:
             continue
-        members = np.concatenate(([v], und.neighbors(v).astype(np.int64)))
-        members = np.unique(members)
+        members = np.array(sorted(adj[v] | {v}), dtype=np.int64)
         if members.size > capacity:
             continue
         clusters.append(members)

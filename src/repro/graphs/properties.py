@@ -12,14 +12,16 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..cache import memoize_arrays, memoize_json
 from ..errors import AlgorithmError
-from .builder import to_scipy
 from .csr import CSRGraph
 
 __all__ = [
     "clustering_coefficients",
+    "triangle_counts",
+    "cc_from_counts",
     "bfs_levels",
     "bfs_forest_levels",
     "estimate_diameter",
@@ -35,8 +37,9 @@ def clustering_coefficients(graph: CSRGraph) -> np.ndarray:
     """Per-node local clustering coefficient on the undirected view.
 
     ``cc[v] = triangles(v) / (deg(v) * (deg(v) - 1) / 2)``; nodes of degree
-    < 2 get 0.  Triangle counts come from ``diag(A^3) / 2`` on the
-    binarized symmetric adjacency matrix.
+    < 2 get 0.  Triangle counts are exact integers from
+    :func:`triangle_counts` (a degree-ordered count, proportional to the
+    triangles rather than to ``sum(deg^2)``).
 
     Memoized on the graph fingerprint when :mod:`repro.cache` is enabled
     (§3 keys the shared-memory transform off these coefficients, the knob
@@ -54,14 +57,51 @@ def clustering_coefficients(graph: CSRGraph) -> np.ndarray:
 
 def _clustering_coefficients(graph: CSRGraph) -> np.ndarray:
     und = graph.to_undirected()
-    a = to_scipy(und)
-    a.data[:] = 1.0
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    # triangles via A @ A, then row-wise dot with A's pattern
-    a2 = (a @ a).tocsr()
-    tri = np.asarray(a2.multiply(a).sum(axis=1)).ravel() / 2.0
+    return cc_from_counts(triangle_counts(und), np.diff(und.offsets))
+
+
+def triangle_counts(und: CSRGraph) -> np.ndarray:
+    """Exact per-node triangle counts of a symmetric, self-loop-free graph.
+
+    ``und`` is a :meth:`CSRGraph.to_undirected` view.  Nodes are ranked
+    by ``(degree, id)`` and only low->high edges are kept as ``U``, so
+    every triangle ``x < y < z`` (by rank) appears exactly once as the
+    path ``x->y->z`` closed by ``x->z``.  Entry ``(x, z)`` of
+    ``(U @ U) * U`` counts the triangles whose lowest node is ``x`` and
+    highest is ``z``; entry ``(y, z)`` of ``(U.T @ U) * U`` counts those
+    whose middle node is ``y``.  Orienting low->high bounds every
+    out-degree by ``sqrt(2m)``, so the products stay near the triangle
+    count instead of ``sum(deg^2)``.
+    """
+    n = und.num_nodes
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(np.diff(und.offsets), kind="stable")] = np.arange(n)
+    src, dst = und.edge_sources(), und.indices
+    keep = rank[src] < rank[dst]
+    u = sp.csr_matrix(
+        (np.ones(int(keep.sum()), dtype=np.int64), (src[keep], dst[keep])),
+        shape=(n, n),
+    )
+    closed = (u @ u).multiply(u)
+    middle = (u.T @ u).multiply(u)
+    return (
+        np.asarray(closed.sum(axis=1)).ravel()
+        + np.asarray(closed.sum(axis=0)).ravel()
+        + np.asarray(middle.sum(axis=1)).ravel()
+    ).astype(np.int64)
+
+
+def cc_from_counts(tri: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Clustering coefficients from exact triangle counts and degrees.
+
+    The one float expression every CC in the package goes through, so a
+    count maintained incrementally (:mod:`repro.core.shmem`) yields the
+    same bits as a fresh :func:`clustering_coefficients`.
+    """
+    tri = np.asarray(tri, dtype=np.float64)
+    deg = np.asarray(deg, dtype=np.float64)
     denom = deg * (deg - 1) / 2.0
-    cc = np.zeros(graph.num_nodes, dtype=np.float64)
+    cc = np.zeros(tri.size, dtype=np.float64)
     ok = denom > 0
     cc[ok] = tri[ok] / denom[ok]
     return np.clip(cc, 0.0, 1.0)

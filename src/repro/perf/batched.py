@@ -58,6 +58,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from .gather import SweepExpansion, expand_frontier
 from .schedule import schedule_for
+from .workspace import pool
 
 __all__ = [
     "BatchedResult",
@@ -581,19 +582,44 @@ def _relax_lanes(edges, dist2, dist_flat, act, n):
     bit-identical per lane; the changed flag reduces to "any element
     improved", which both looped branches (pooled dense snapshot and
     sparse touched-destination compare) also compute.
+
+    The S x n snapshot and the S x E candidate temporaries are leased
+    from the :class:`~repro.perf.workspace.WorkspacePool` (keys
+    ``batched.relax.*``), so steady-state levels allocate only the
+    compacted finite-candidate scatter operands.  ``np.take`` runs with
+    ``mode="clip"`` because ``mode="raise"`` buffers ``out`` through a
+    fresh temporary; every index is in range, so the values are equal.
     """
     src = np.asarray(edges.src)
     dst = np.asarray(edges.dst, dtype=np.int64)
     w = np.asarray(edges.weights)
-    before = dist2[act]  # fancy indexing: a snapshot copy
-    src_vals = before[:, src]
-    finite = np.isfinite(src_vals)
-    if not finite.any():
-        return np.zeros(act.size, dtype=bool)
-    cand = src_vals + w
-    flat_idx = act[:, None] * n + dst[None, :]
-    np.minimum.at(dist_flat, flat_idx[finite], cand[finite])
-    return (dist2[act] < before).any(axis=1)
+    s, e = act.size, src.size
+    p = pool()
+    with (
+        p.lease("batched.relax.before", s * n) as before,
+        p.lease("batched.relax.after", s * n) as after,
+        p.lease("batched.relax.improved", s * n, bool) as improved,
+        p.lease("batched.relax.cand", s * e) as cand,
+        p.lease("batched.relax.finite", s * e, bool) as finite,
+        p.lease("batched.relax.idx", s * e, np.int64) as flat_idx,
+    ):
+        before = before.reshape(s, n)
+        cand = cand.reshape(s, e)
+        finite = finite.reshape(s, e)
+        np.take(dist2, act, axis=0, out=before, mode="clip")
+        np.take(before, src, axis=1, out=cand, mode="clip")
+        np.isfinite(cand, out=finite)
+        if not finite.any():
+            return np.zeros(s, dtype=bool)
+        np.add(cand, w, out=cand)
+        np.add((act * n)[:, None], dst[None, :], out=flat_idx.reshape(s, e))
+        finite = finite.reshape(-1)
+        np.minimum.at(dist_flat, flat_idx[finite], cand.reshape(-1)[finite])
+        after = after.reshape(s, n)
+        np.take(dist2, act, axis=0, out=after, mode="clip")
+        improved = improved.reshape(s, n)
+        np.less(after, before, out=improved)
+        return improved.any(axis=1)
 
 
 def sssp_batched(

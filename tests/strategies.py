@@ -23,6 +23,7 @@ __all__ = [
     "zero_weight_graphs",
     "star_graphs",
     "chain_graphs",
+    "clique_graphs",
     "adversarial_graphs",
     "budget_ladders",
 ]
@@ -168,6 +169,25 @@ def chain_graphs(draw, max_nodes=40, weighted=None):
     src = np.arange(n - 1, dtype=np.int64)
     w = _weights_for(draw, n - 1, weighted)
     return CSRGraph.from_edges(n, src, src + 1, w)
+
+
+@st.composite
+def clique_graphs(draw, max_size=12, max_pendants=6):
+    """A clique (every triangle closed), optionally minus a few edges and
+    plus pendant nodes hanging off it — CC exactly 1, just below 1 and 0."""
+    k = draw(st.integers(min_value=1, max_value=max_size))
+    pendants = draw(st.integers(min_value=0, max_value=max_pendants))
+    n = k + pendants
+    iu, ju = np.triu_indices(k, 1)
+    drop = draw(st.integers(min_value=0, max_value=min(3, iu.size)))
+    iu, ju = iu[drop:], ju[drop:]
+    anchors = np.array(
+        draw(st.lists(st.integers(0, k - 1), min_size=pendants, max_size=pendants)),
+        dtype=np.int64,
+    )
+    src = np.concatenate([iu, np.arange(k, n)])
+    dst = np.concatenate([ju, anchors])
+    return CSRGraph.from_edges(n, src, dst)
 
 
 def adversarial_graphs():

@@ -23,6 +23,7 @@ from repro.errors import AlgorithmError, SimulationError
 from repro.gpusim.device import DeviceConfig
 from repro.gpusim.kernel import ExecutionContext
 from repro.graphs.generators import rmat, road_network
+from repro.obs import metrics as obs_metrics
 from repro.perf.batched import (
     BatchedResult,
     LaneLedger,
@@ -32,6 +33,7 @@ from repro.perf.batched import (
     sssp_batched,
 )
 from repro.perf.gather import expand_frontier
+from repro.perf.workspace import pool
 
 from strategies import adversarial_graphs
 
@@ -206,6 +208,46 @@ class TestBatchedEquivalence:
         bb = bfs_levels_batched(road, [42], device=DEV)
         solo = bfs(road, 42, device=DEV)
         _assert_lane_equal(bb, 0, solo, "single lane")
+
+
+# ---------------------------------------------------------------------------
+class TestRelaxWorkspace:
+    """The stacked Bellman-Ford relax leases its S x n / S x E temporaries
+    from the per-thread WorkspacePool instead of allocating per level."""
+
+    @staticmethod
+    def _batched_buffers():
+        return {
+            k: v for k, v in pool()._buffers().items() if k.startswith("batched.")
+        }
+
+    def test_warm_run_allocates_nothing(self, social):
+        plan = build_plan(social, "shmem", device=DEV)
+        srcs = [1, 2, 200]
+        first = sssp_batched(plan, srcs, device=DEV)
+        warm = self._batched_buffers()
+        assert warm
+        alloc0 = obs_metrics.counter("perf.workspace.alloc").value
+        second = sssp_batched(plan, srcs, device=DEV)
+        assert obs_metrics.counter("perf.workspace.alloc").value == alloc0
+        after = self._batched_buffers()
+        assert after.keys() == warm.keys()
+        assert all(after[k] is warm[k] for k in warm)
+        assert second.values.tobytes() == first.values.tobytes()
+        assert second.iterations == first.iterations
+
+    def test_nested_lease_keeps_outer_buffer(self, social):
+        ref = sssp_batched(social, [1, 2], device=DEV)
+        reentrant0 = obs_metrics.counter("perf.workspace.reentrant").value
+        with pool().lease("batched.relax.before", 8) as outer:
+            outer[:] = 7.0
+            got = sssp_batched(social, [1, 2], device=DEV)
+            assert (outer == 7.0).all()
+        assert obs_metrics.counter("perf.workspace.reentrant").value > reentrant0
+        assert got.values.tobytes() == ref.values.tobytes()
+        assert got.iterations == ref.iterations
+        for k in range(2):
+            assert got.lane_metrics[k].summary() == ref.lane_metrics[k].summary()
 
 
 # ---------------------------------------------------------------------------
