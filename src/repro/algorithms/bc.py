@@ -33,7 +33,6 @@ from ..perf.batched import (
     LaneLedger,
     charge_lane_level,
     expand_lanes,
-    lane_sweep_cost,
 )
 from ..perf.edgeshare import shared_pull_view
 from ..perf.gather import LevelBuckets, SweepExpansion, expand_frontier
@@ -310,7 +309,8 @@ def betweenness_centrality(
                 (graph.offsets[frontier + 1] - graph.offsets[frontier]).sum()
             )
         total_levels += depth
-        runner.ctx.charge_batch(pending)
+        # unscheduled gather runs price every forward level here, in order
+        fwd_costs = runner.ctx.charge_batch(pending)
 
         # ---- backward pass: dependency accumulation --------------------
         delta = np.zeros(n)
@@ -337,7 +337,6 @@ def betweenness_centrality(
             apply = has[g_gids] & visited_m
             delta[g_slots[apply]] = means[g_gids[apply]]
 
-        pending = []
         for d in range(depth - 1, -1, -1):
             # gather: the forward pass already recorded each level's
             # (sorted) members, so skip the O(V) scan of `level`
@@ -386,21 +385,13 @@ def betweenness_centrality(
             if buckets is not None:
                 # the level-d bucket is exactly members' CSR adjacency
                 # in ascending edge order (every out-edge of a level-d
-                # node has lvl_src == d), so it doubles as the cost
-                # model's expansion of this sweep
+                # node has lvl_src == d)
                 eids = buckets.at(d)
                 dstb = dst_arr[eids]
-                degs = (
-                    graph.offsets[members + 1] - graph.offsets[members]
-                ).astype(np.int64)
-                exp = SweepExpansion(
-                    members, degs, ragged_arange(degs), eids, None, dstb
-                )
                 keep = (level[dstb] == d + 1) & (sigma[dstb] > 0)
                 e_src = src_arr[eids[keep]]
                 e_dst = dstb[keep]
             else:
-                exp = None
                 mask = (
                     (lvl_src == d) & (lvl_dst == d + 1) & (sigma[dst_arr] > 0)
                 )
@@ -411,18 +402,28 @@ def betweenness_centrality(
             elif topology_driven:
                 runner.ctx.charge(None)
             elif decision is not None:
+                exp = None
+                if buckets is not None:
+                    # the bucket doubles as the cost model's expansion
+                    degs = (
+                        graph.offsets[members + 1] - graph.offsets[members]
+                    ).astype(np.int64)
+                    exp = SweepExpansion(
+                        members, degs, ragged_arange(degs), eids, None, dstb
+                    )
                 runner.ctx.charge(
                     members, expansion=exp, partition=decision.partition
                 )
-            elif exp is not None:
-                pending.append(exp)
+            elif fwd_costs:
+                # this level sweeps fronts[d] over the same CSR adjacency
+                # the forward pass priced: ledger that cost again
+                runner.ctx.repeat(fwd_costs[d])
             else:
                 runner.ctx.charge(members)
             if e_src.size:
                 contrib = sigma[e_src] / sigma[e_dst] * (1.0 + delta[e_dst])
                 np.add.at(delta, e_src, contrib)
             merge_delta()
-        runner.ctx.charge_batch(pending)
         delta[s_slot] = 0.0
         visited = level >= 0
         bc[visited] += delta[visited]
@@ -605,8 +606,7 @@ def _batched_bc(plan, runner, sched, sources) -> AlgorithmResult:
                 rexp = expand_frontier(pv.rev.offsets, rind, candidates)
                 ledger.add(
                     i,
-                    lane_sweep_cost(
-                        ctx,
+                    ctx.price(
                         candidates,
                         subgraph=pv.rev,
                         expansion=rexp,
@@ -743,8 +743,7 @@ def _batched_bc(plan, runner, sched, sources) -> AlgorithmResult:
                     rexp = expand_frontier(pv.rev.offsets, rind, nexts)
                     ledger.add(
                         i,
-                        lane_sweep_cost(
-                            ctx,
+                        ctx.price(
                             nexts,
                             subgraph=pv.rev,
                             expansion=rexp,
@@ -778,13 +777,18 @@ def _batched_bc(plan, runner, sched, sources) -> AlgorithmResult:
                     )
                     flat_src = bx.e_src + row_off
                     flat_dst = bx.e_dst + row_off
-                charge_lane_level(
-                    ctx,
-                    ledger,
-                    push_lanes,
-                    bx.sweeps,
-                    [decisions[i] for i in push_lanes],
-                )
+                if sched is None:
+                    # every lane sweeps its forward level-d frontier over
+                    # the same adjacency again: reuse the forward cost
+                    ledger.repeat(push_lanes, d)
+                else:
+                    charge_lane_level(
+                        ctx,
+                        ledger,
+                        push_lanes,
+                        bx.sweeps,
+                        [decisions[i] for i in push_lanes],
+                    )
                 keep = (level_flat[flat_dst] == d + 1) & (
                     sigma_flat[flat_dst] > 0
                 )

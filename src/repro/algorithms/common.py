@@ -27,6 +27,7 @@ from ..errors import AlgorithmError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..graphs.csr import CSRGraph
+from ..gpusim.costmodel import SweepCost
 from ..gpusim.device import DeviceConfig, K40C
 from ..gpusim.kernel import ExecutionContext
 from ..gpusim.metrics import SimMetrics
@@ -101,6 +102,7 @@ class Runner:
         self.schedule: Schedule | None = None
         self._sched_prev: SweepDecision | None = None
         self._pull: PullEdgeView | None = None
+        self._cluster_cost: SweepCost | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -241,18 +243,29 @@ class Runner:
         ):
             return self._cluster_rounds(values, relax)
 
+    def cluster_round_cost(self) -> SweepCost:
+        """The cost of one §3 local round.
+
+        Every round sweeps the same resident set over the same cluster
+        graph at shared-memory rates, so it is priced once per runner.
+        """
+        if self._cluster_cost is None:
+            self._cluster_cost = self.ctx.price(
+                self._resident_nodes,
+                all_shared=True,
+                subgraph=self.plan.cluster_graph,
+            )
+        return self._cluster_cost
+
     def _cluster_rounds(
         self,
         values: np.ndarray,
         relax: Callable[[EdgeView, np.ndarray], bool],
     ) -> bool:
         changed_any = False
+        cost = self.cluster_round_cost()
         for _ in range(self.plan.local_iterations):
-            self.ctx.charge(
-                self._resident_nodes,
-                all_shared=True,
-                subgraph=self.plan.cluster_graph,
-            )
+            self.ctx.repeat(cost)
             changed = relax(self.cluster_edges, values)
             self.confluence(values)
             changed_any |= changed

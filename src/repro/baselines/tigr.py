@@ -131,15 +131,7 @@ class _TigrContext(ExecutionContext):
         pos = np.arange(total, dtype=np.int64) - np.repeat(seg, counts)
         return np.repeat(vs[ids], counts) + pos
 
-    def charge(
-        self,
-        active=None,
-        *,
-        all_shared=False,
-        subgraph=None,
-        expansion=None,
-        partition="vertex",
-    ):
+    def _price_sweep(self, active, *, all_shared, subgraph, expansion, partition):
         if subgraph is not None:
             # §3 cluster rounds and pull-schedule gathers stay in master
             # space: substituted structures are not virtual-split
@@ -148,7 +140,7 @@ class _TigrContext(ExecutionContext):
                 if active is not None
                 else np.arange(subgraph.num_nodes, dtype=np.int64)
             )
-            cost = charge_sweep(
+            return charge_sweep(
                 subgraph,
                 self.device,
                 ids,
@@ -156,11 +148,9 @@ class _TigrContext(ExecutionContext):
                 expansion=expansion,
                 partition=partition,
             )
-            self.metrics.add(cost)
-            return cost
         # a caller-provided expansion describes the master adjacency, not
         # the virtual split this context charges — never forward it
-        cost = charge_sweep(
+        return charge_sweep(
             self.graph,
             self.device,
             self._virtualize(active)
@@ -170,8 +160,16 @@ class _TigrContext(ExecutionContext):
             all_shared=all_shared,
             partition=partition,
         )
+
+    def charge_batch(self, sweeps, *, partition="vertex"):
+        # batched pricing expands the sweeps' master frontiers over the
+        # graph; each one must go through the virtual split instead
+        return [self.charge(exp.frontier, partition=partition) for exp in sweeps]
+
+    def _ledger(self, cost):
+        # Tigr runs ledger their metrics only; they have never advanced
+        # the solve.* counters
         self.metrics.add(cost)
-        return cost
 
 
 class TigrRunner(Runner):

@@ -10,6 +10,9 @@ context owns:
 * the **residency mask** — which nodes' attributes live in simulated
   shared memory (§3's pinned clusters);
 * the accumulating :class:`~repro.gpusim.metrics.SimMetrics` ledger.
+
+Pricing (:meth:`ExecutionContext.price`) is pure, so a sweep that
+repeats within a solve is priced once and ledgered again.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ class ExecutionContext:
         # lazily built full-graph expansion: topology-driven sweeps
         # (``charge(None)``) all expand the same graph-constant adjacency
         self._full_exp: SweepExpansion | None = None
+        # fixed-shape sweep costs, see price()
+        self._fixed: dict[tuple, tuple[CSRGraph, SweepCost]] = {}
         # cached instruments: charge() runs once per sweep, so skip the
         # registry lookup on the hot path
         self._sweep_counter = obs_metrics.counter("solve.sweeps")
@@ -104,6 +109,74 @@ class ExecutionContext:
             return np.sort(ids)
         return ids[np.argsort(self._rank[ids], kind="stable")]
 
+    def price(
+        self,
+        active: np.ndarray | None = None,
+        *,
+        all_shared: bool = False,
+        subgraph: CSRGraph | None = None,
+        expansion=None,
+        partition: str = "vertex",
+    ) -> SweepCost:
+        """The cost :meth:`charge` would ledger for one sweep, unledgered.
+
+        Pricing is a pure function of the arguments and the context's
+        fixed processing order, residency mask and device.  A
+        *fixed-shape* sweep (``active=None``: every node of the charged
+        structure) therefore costs the same every time, so it is priced
+        once per context and memoized on the charged structure *object*
+        (``self.graph`` or the ``subgraph``), ``all_shared`` and
+        ``partition``.  Topology-driven solvers, PageRank and the
+        fixed-point solvers charge one such sweep per iteration.
+        """
+        if active is not None:
+            return self._price_sweep(
+                active,
+                all_shared=all_shared,
+                subgraph=subgraph,
+                expansion=expansion,
+                partition=partition,
+            )
+        graph = subgraph if subgraph is not None else self.graph
+        key = (id(graph), all_shared, partition)
+        hit = self._fixed.get(key)
+        if hit is None:
+            # the structure is held with its cost, so its id stays unique
+            hit = self._fixed[key] = (
+                graph,
+                self._price_sweep(
+                    None,
+                    all_shared=all_shared,
+                    subgraph=subgraph,
+                    expansion=expansion,
+                    partition=partition,
+                ),
+            )
+        return hit[1]
+
+    def _price_sweep(
+        self, active, *, all_shared, subgraph, expansion, partition
+    ) -> SweepCost:
+        graph = subgraph if subgraph is not None else self.graph
+        active_ids = self.ordered(active)
+        if expansion is not None:
+            if not self._identity_order:
+                expansion = None
+            elif not np.array_equal(active_ids, expansion.frontier):
+                raise SimulationError("expansion does not match the active list")
+        elif active is None and subgraph is None and self._identity_order:
+            # a full sweep's expansion is graph-constant: build it once
+            expansion = self._full_expansion()
+        return charge_sweep(
+            graph,
+            self.device,
+            active_ids,
+            resident_mask=None if all_shared else self.resident_mask,
+            all_shared=all_shared,
+            expansion=expansion,
+            partition=partition,
+        )
+
     def charge(
         self,
         active: np.ndarray | None = None,
@@ -134,45 +207,40 @@ class ExecutionContext:
         ``partition`` selects vertex- or edge-balanced warp assignment
         for the cost model (see
         :func:`~repro.gpusim.costmodel.charge_sweep`).
+
+        The cost comes from :meth:`price`, so a fixed-shape sweep is
+        priced on its first charge and re-ledgered afterwards.
         """
-        graph = subgraph if subgraph is not None else self.graph
         with obs_trace.span("solve.sweep") as sp:
-            active_ids = self.ordered(active)
-            if expansion is not None:
-                if not self._identity_order:
-                    expansion = None
-                elif not np.array_equal(active_ids, expansion.frontier):
-                    raise SimulationError(
-                        "expansion does not match the active list"
-                    )
-            elif active is None and subgraph is None and self._identity_order:
-                # a full sweep's expansion is graph-constant: build it
-                # once and reuse it for every topology-driven charge
-                expansion = self._full_expansion()
-            cost = charge_sweep(
-                graph,
-                self.device,
-                active_ids,
-                resident_mask=None if all_shared else self.resident_mask,
+            cost = self.price(
+                active,
                 all_shared=all_shared,
+                subgraph=subgraph,
                 expansion=expansion,
                 partition=partition,
             )
             if sp is not None:
-                sp.set(
-                    active=int(active_ids.size),
-                    cycles=cost.cycles,
-                    serial_steps=cost.serial_steps,
-                    edge_transactions=cost.edge_transactions,
-                    attr_global_transactions=cost.attr_global_transactions,
-                    attr_shared_transactions=cost.attr_shared_transactions,
-                    atomic_ops=cost.atomic_ops,
+                _describe(
+                    sp,
+                    cost,
+                    active=int(self.ordered(active).size),
                     shared=bool(all_shared),
                 )
-        self.metrics.add(cost)
-        self._sweep_counter.inc()
-        self._cycle_counter.inc(cost.cycles)
+        self._ledger(cost)
         return cost
+
+    def repeat(self, cost: SweepCost) -> None:
+        """Ledger one more run of a sweep priced earlier.
+
+        For a sweep over the same active list and structure as one
+        already priced (a §3 local round, a BC backward level): the
+        ledger, ``SimMetrics`` and ``solve.*`` counters advance exactly
+        as a fresh :meth:`charge` would.
+        """
+        with obs_trace.span("solve.sweep") as sp:
+            if sp is not None:
+                _describe(sp, cost)
+        self._ledger(cost)
 
     def _full_expansion(self) -> SweepExpansion:
         """The (cached) CSR expansion of every node in id order."""
@@ -189,7 +257,7 @@ class ExecutionContext:
             )
         return self._full_exp
 
-    def charge_batch(self, sweeps, *, partition: str = "vertex") -> None:
+    def charge_batch(self, sweeps, *, partition: str = "vertex") -> list[SweepCost]:
         """Charge many sweeps from their precomputed expansions at once.
 
         ``sweeps`` is a sequence of
@@ -199,6 +267,8 @@ class ExecutionContext:
         same per-sweep costs, same accumulation order — but the cost
         model's work is vectorized across the whole batch, which is
         what keeps accounting cheap for level-synchronous solvers.
+        Returns the per-sweep costs in order, so a caller that sweeps
+        the same frontiers again can :meth:`repeat` them.
 
         With a non-identity processing order the expansions don't match
         the warp assignment, so this degrades to per-sweep charging.
@@ -214,44 +284,46 @@ class ExecutionContext:
         and with it the bit pattern of the accumulated float cycles —
         is the per-sweep sequence either way.
         """
-        if not sweeps:
-            return
         if not self._identity_order or partition != "vertex":
-            for exp in sweeps:
+            return [
                 self.charge(exp.frontier, expansion=exp, partition=partition)
-            return
+                for exp in sweeps
+            ]
 
+        costs: list[SweepCost] = []
         run: list = []
 
         def _flush() -> None:
             if not run:
                 return
             with obs_trace.span("solve.sweep_batch", sweeps=len(run)):
-                costs = charge_sweeps_batched(
+                priced = charge_sweeps_batched(
                     self.graph,
                     self.device,
                     run,
                     resident_mask=self.resident_mask,
                 )
-            for cost in costs:
+            for cost in priced:
                 self._ledger(cost)
+            costs.extend(priced)
             run.clear()
 
         for exp in sweeps:
             if exp.epos.size >= self.BATCH_EAGER_EDGES:
                 _flush()
-                self._ledger(
-                    charge_sweep(
-                        self.graph,
-                        self.device,
-                        exp.frontier,
-                        resident_mask=self.resident_mask,
-                        expansion=exp,
-                    )
+                cost = charge_sweep(
+                    self.graph,
+                    self.device,
+                    exp.frontier,
+                    resident_mask=self.resident_mask,
+                    expansion=exp,
                 )
+                self._ledger(cost)
+                costs.append(cost)
             else:
                 run.append(exp)
         _flush()
+        return costs
 
     def _ledger(self, cost: SweepCost) -> None:
         self.metrics.add(cost)
@@ -261,3 +333,16 @@ class ExecutionContext:
     def charge_cost(self, cost: SweepCost) -> None:
         """Add an externally computed cost (e.g. a host-side reduction)."""
         self.metrics.add(cost)
+
+
+def _describe(sp, cost: SweepCost, **attrs) -> None:
+    """Attach a sweep's cost breakdown to its ``solve.sweep`` span."""
+    sp.set(
+        cycles=cost.cycles,
+        serial_steps=cost.serial_steps,
+        edge_transactions=cost.edge_transactions,
+        attr_global_transactions=cost.attr_global_transactions,
+        attr_shared_transactions=cost.attr_shared_transactions,
+        atomic_ops=cost.atomic_ops,
+        **attrs,
+    )

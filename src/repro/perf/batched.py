@@ -68,7 +68,6 @@ __all__ = [
     "charge_lane_level",
     "expand_lanes",
     "lane_sources",
-    "lane_sweep_cost",
     "sssp_batched",
 ]
 
@@ -142,44 +141,6 @@ def expand_lanes(
     obs_metrics.counter("perf.batched.expansion_lanes").inc(len(frontiers))
     obs_metrics.counter("perf.batched.expansion_edges").inc(total)
     return LaneExpansion(frontiers, e_src, e_dst, epos, rec_bounds, sweeps)
-
-
-def lane_sweep_cost(
-    ctx,
-    active,
-    *,
-    subgraph=None,
-    expansion=None,
-    partition: str = "vertex",
-    all_shared: bool = False,
-) -> SweepCost:
-    """The :class:`SweepCost` one :meth:`ExecutionContext.charge` call
-    would ledger, computed without touching the ledger.
-
-    Mirrors :meth:`~repro.gpusim.kernel.ExecutionContext.charge`
-    argument derivation exactly (ordering, expansion validation and the
-    identity-order full-expansion cache), so a lane charged through here
-    and later replayed via :meth:`LaneLedger.replay` is bit-identical to
-    a lane charged eagerly by the looped engine.
-    """
-    graph = subgraph if subgraph is not None else ctx.graph
-    active_ids = ctx.ordered(active)
-    if expansion is not None:
-        if not ctx._identity_order:
-            expansion = None
-        elif not np.array_equal(active_ids, expansion.frontier):
-            raise SimulationError("expansion does not match the active list")
-    elif active is None and subgraph is None and ctx._identity_order:
-        expansion = ctx._full_expansion()
-    return charge_sweep(
-        graph,
-        ctx.device,
-        active_ids,
-        resident_mask=None if all_shared else ctx.resident_mask,
-        all_shared=all_shared,
-        expansion=expansion,
-        partition=partition,
-    )
 
 
 class LaneLedger:
@@ -258,6 +219,15 @@ class LaneLedger:
         _price_run()
         self._pending.clear()
 
+    def repeat(self, lanes, index: int) -> None:
+        """Append, per lane, its already priced ``index``-th cost again
+        (the lane sweeps the same frontier over the same structure)."""
+        if self._pending:
+            raise SimulationError("lane ledger has unpriced deferred sweeps")
+        for lane in lanes:
+            self.costs[lane].append(self.costs[lane][index])
+        _count_level(len(lanes))
+
     @staticmethod
     def _fold(costs, base: SweepCost) -> SweepCost:
         # one pass with local accumulators instead of a SweepCost.__add__
@@ -331,10 +301,14 @@ def charge_lane_level(ctx, ledger: LaneLedger, lanes, sweeps, decisions) -> None
         else:
             ledger.add(
                 lane,
-                lane_sweep_cost(ctx, exp.frontier, expansion=exp, partition=part),
+                ctx.price(exp.frontier, expansion=exp, partition=part),
             )
+    _count_level(len(lanes))
+
+
+def _count_level(num_lanes: int) -> None:
     obs_metrics.counter("perf.batched.levels").inc()
-    obs_metrics.counter("perf.batched.lane_sweeps").inc(len(lanes))
+    obs_metrics.counter("perf.batched.lane_sweeps").inc(num_lanes)
 
 
 @dataclass
@@ -489,8 +463,7 @@ def bfs_levels_batched(
                 rexp = expand_frontier(pv.rev.offsets, rind, candidates)
                 ledger.add(
                     i,
-                    lane_sweep_cost(
-                        ctx,
+                    ctx.price(
                         candidates,
                         subgraph=pv.rev,
                         expansion=rexp,
@@ -665,7 +638,6 @@ def sssp_batched(
     envelope = dist2.copy() if approximate else None
     iterations = np.zeros(num_lanes, dtype=np.int64)
     ledger = LaneLedger(num_lanes)
-    sweep_costs: dict = {}
     active = list(range(num_lanes))
     obs_metrics.counter("perf.batched.runs").inc()
     obs_metrics.counter("perf.batched.lanes").inc(num_lanes)
@@ -679,30 +651,20 @@ def sssp_batched(
             # full sweeps are graph-constant: one decision for all lanes,
             # identical to each lane's looped sequence by purity of decide()
             decision = runner._decide(None)
-            cost = sweep_costs.get(decision)
             if decision is None or decision.direction == "push":
                 edges = runner.edges
-                if cost is None:
-                    cost = lane_sweep_cost(
-                        ctx,
-                        None,
-                        partition=(
-                            "vertex" if decision is None else decision.partition
-                        ),
-                    )
-                    sweep_costs[decision] = cost
+                cost = ctx.price(
+                    None,
+                    partition="vertex" if decision is None else decision.partition,
+                )
             else:
-                pv = runner._pull_edges()
-                edges = pv
-                if cost is None:
-                    cost = lane_sweep_cost(
-                        ctx,
-                        None,
-                        subgraph=pv.rev,
-                        expansion=pv.full_expansion(),
-                        partition=decision.partition,
-                    )
-                    sweep_costs[decision] = cost
+                edges = pv = runner._pull_edges()
+                cost = ctx.price(
+                    None,
+                    subgraph=pv.rev,
+                    expansion=pv.full_expansion(),
+                    partition=decision.partition,
+                )
             act = np.asarray(active, dtype=np.int64)
             changed = _relax_lanes(edges, dist2, dist_flat, act, n)
             for i in active:
@@ -732,9 +694,7 @@ def sssp_batched(
                 and runner.cluster_edges is not None
             ):
                 for i in cont:
-                    _cluster_rounds_lane(
-                        runner, ledger, i, dist2[i], sssp_relax, sweep_costs
-                    )
+                    _cluster_rounds_lane(runner, ledger, i, dist2[i], sssp_relax)
             active = [i for i in cont if iterations[i] < max_iterations]
 
     values = np.stack([plan.lower(dist2[i]) for i in range(num_lanes)])
@@ -749,21 +709,13 @@ def sssp_batched(
     )
 
 
-def _cluster_rounds_lane(runner, ledger, lane, values, relax, cached) -> None:
+def _cluster_rounds_lane(runner, ledger, lane, values, relax) -> None:
     """The §3 local iterations for one lane (cost is round-constant)."""
-    cost = cached.get("cluster")
+    cost = runner.cluster_round_cost()
     with obs_trace.span(
         "solve.cluster_rounds", local_iterations=runner.plan.local_iterations
     ):
         for _ in range(runner.plan.local_iterations):
-            if cost is None:
-                cost = lane_sweep_cost(
-                    runner.ctx,
-                    runner._resident_nodes,
-                    subgraph=runner.plan.cluster_graph,
-                    all_shared=True,
-                )
-                cached["cluster"] = cost
             ledger.add(lane, cost)
             changed = relax(runner.cluster_edges, values)
             runner.confluence(values)

@@ -229,12 +229,9 @@ class ReproServer:
         op = req["op"]
         if op in ADMIN_OPS:
             return self._handle_admin(req)
-        # queries get their own denominator: serve.requests.total counts
-        # every protocol line (admin probes included), which would make
-        # an availability objective treat each health check as a failure
-        obs_metrics.counter("serve.queries.total").inc()
         if self._draining.is_set():
             obs_metrics.counter("serve.requests.shutting_down").inc()
+            obs_metrics.counter("serve.queries.total").inc()
             return error_response(req, "shutting_down", "server is draining")
         deadline = Deadline.from_ms(
             req.get("deadline_ms", self.config.default_deadline_ms)
@@ -270,7 +267,14 @@ class ReproServer:
             logger.warning("query %s failed: %s", op, exc)
             resp = error_response(req, status, f"{type(exc).__name__}: {exc}")
         elapsed = time.perf_counter() - t0
+        # queries get their own denominator: serve.requests.total counts
+        # every protocol line (admin probes included), which would make
+        # an availability objective treat each health check as a failure.
+        # It is counted with the outcome, never before it — a query still
+        # in flight is neither good nor bad — and after it, so a reader
+        # between the two sees no failure (good is capped at total)
         obs_metrics.counter(f"serve.requests.{status}").inc()
+        obs_metrics.counter("serve.queries.total").inc()
         obs_metrics.histogram("serve.request.time", STAGE_BUCKETS).observe(elapsed)
         # tick after the outcome counters land, so the burn the *next*
         # request hands the ladder already reflects this one

@@ -142,3 +142,49 @@ class TestStrategies:
         srcs = pick_sources(rmat_small.num_nodes, 2, seed=1)
         res = betweenness_centrality(plan, sources=srcs, strategy="outer")
         assert res.values.size == rmat_small.num_nodes
+
+
+class TestBackwardReusesForwardCosts:
+    """Unscheduled BC prices each forward level once; the backward pass
+    ledgers those costs again instead of re-pricing the same sweeps."""
+
+    @pytest.fixture
+    def priced_sweeps(self, monkeypatch):
+        import repro.gpusim.kernel as kernel
+        import repro.perf.batched as batched
+
+        count = {"n": 0}
+
+        def counted(fn, per_call):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                count["n"] += per_call(out)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(
+            kernel, "charge_sweep", counted(kernel.charge_sweep, lambda _: 1)
+        )
+        monkeypatch.setattr(
+            kernel,
+            "charge_sweeps_batched",
+            counted(kernel.charge_sweeps_batched, len),
+        )
+        monkeypatch.setattr(
+            batched, "charge_sweep", counted(batched.charge_sweep, lambda _: 1)
+        )
+        monkeypatch.setattr(
+            batched,
+            "charge_lane_sweeps",
+            counted(batched.charge_lane_sweeps, len),
+        )
+        return count
+
+    @pytest.mark.parametrize("engine", ["gather", "batched"])
+    def test_each_level_priced_once(self, rmat_small, priced_sweeps, engine):
+        res = betweenness_centrality(rmat_small, num_sources=4, engine=engine)
+        ref = betweenness_centrality(rmat_small, num_sources=4, engine="reference")
+        assert priced_sweeps["n"] == res.iterations + ref.metrics.num_sweeps
+        assert res.metrics.num_sweeps == 2 * res.iterations
+        assert res.metrics.total == ref.metrics.total

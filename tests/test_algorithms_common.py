@@ -108,6 +108,23 @@ class TestRunnerSweeps:
         assert runner.metrics.total.attr_shared_transactions > 0
         assert runner.metrics.total.attr_global_transactions == 0
 
+    def test_cluster_round_priced_once_per_runner(self, rmat_small, monkeypatch):
+        plan = build_plan(rmat_small, "shmem")
+        if not plan.has_clusters:
+            pytest.skip("no clusters")
+        runner = Runner(plan)
+        priced = []
+        real = runner.ctx.price
+        monkeypatch.setattr(
+            runner.ctx, "price", lambda *a, **k: priced.append(a) or real(*a, **k)
+        )
+        dist = np.full(rmat_small.num_nodes, np.inf)
+        dist[int(np.argmax(rmat_small.out_degrees()))] = 0.0
+        runner.cluster_rounds(dist, sssp_relax)
+        runner.cluster_rounds(np.full(rmat_small.num_nodes, np.inf), sssp_relax)
+        assert len(priced) == 1
+        assert runner.metrics.num_sweeps >= 2
+
     def test_cluster_rounds_stop_when_stable(self, rmat_small):
         plan = build_plan(rmat_small, "shmem")
         if not plan.has_clusters:

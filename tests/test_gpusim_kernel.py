@@ -244,3 +244,85 @@ class TestFullSweepExpansionCache:
         assert got == charge_sweep(
             sub, K40C, np.arange(sub.num_nodes, dtype=np.int64)
         )
+
+
+class TestPriceOnce:
+    """A distinct sweep is priced once per context; every charge of it
+    still lands in the ledger and the ``solve.*`` counters."""
+
+    @staticmethod
+    def _count_pricing(monkeypatch):
+        import repro.gpusim.kernel as kernel
+
+        calls = []
+        real = kernel.charge_sweep
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "charge_sweep", counting)
+        return calls
+
+    def test_fixed_shape_sweep_priced_once(self, rmat_small, monkeypatch):
+        from repro.obs import metrics as obs_metrics
+
+        calls = self._count_pricing(monkeypatch)
+        ctx = ExecutionContext(rmat_small, K40C)
+        sweeps = obs_metrics.counter("solve.sweeps").value
+        costs = [ctx.charge(None) for _ in range(3)]
+        assert len(calls) == 1
+        assert costs[0] == costs[1] == costs[2]
+        assert ctx.metrics.num_sweeps == 3
+        assert ctx.metrics.total == costs[0] + costs[0] + costs[0]
+        assert obs_metrics.counter("solve.sweeps").value == sweeps + 3
+
+    def test_memo_keyed_on_structure_and_mode(self, rmat_small, monkeypatch):
+        calls = self._count_pricing(monkeypatch)
+        rev = rmat_small.reverse()
+        ctx = ExecutionContext(rmat_small, K40C)
+        for _ in range(2):
+            ctx.charge(None)
+            ctx.charge(None, all_shared=True)
+            ctx.charge(None, partition="edge")
+            ctx.charge(None, subgraph=rev)
+        assert len(calls) == 4
+        assert ctx.metrics.num_sweeps == 8
+        # keyed on the structure object, not on its contents
+        ctx.charge(None, subgraph=rmat_small.reverse())
+        assert len(calls) == 5
+
+    def test_frontier_sweeps_are_not_memoized(self, rmat_small, monkeypatch):
+        calls = self._count_pricing(monkeypatch)
+        ctx = ExecutionContext(rmat_small, K40C)
+        frontier = np.array([0, 1, 2], dtype=np.int64)
+        ctx.charge(frontier)
+        ctx.charge(frontier)
+        assert len(calls) == 2
+
+    def test_repeat_ledgers_like_charge(self, rmat_small):
+        from repro.obs import metrics as obs_metrics
+
+        frontier = np.array([1, 4, 9], dtype=np.int64)
+        fresh = ExecutionContext(rmat_small, K40C)
+        fresh.charge(frontier)
+        fresh.charge(frontier)
+        reused = ExecutionContext(rmat_small, K40C)
+        cycles = obs_metrics.counter("solve.sim_cycles")
+        before = cycles.value
+        cost = reused.charge(frontier)
+        reused.repeat(cost)
+        assert reused.metrics.total == fresh.metrics.total
+        assert reused.metrics.num_sweeps == 2
+        assert cycles.value == before + cost.cycles + cost.cycles
+
+    def test_charge_batch_returns_costs_in_order(self, rmat_small):
+        idx = rmat_small.indices.astype(np.int64)
+        sweeps = [
+            expand_frontier(rmat_small.offsets, idx, np.array(f, dtype=np.int64))
+            for f in ([0], [1, 2], [3, 5, 8])
+        ]
+        ctx = ExecutionContext(rmat_small, K40C)
+        costs = ctx.charge_batch(sweeps)
+        loop = ExecutionContext(rmat_small, K40C)
+        assert costs == [loop.charge(e.frontier, expansion=e) for e in sweeps]

@@ -191,8 +191,13 @@ class TestCliPlumbing:
 class TestAcceptanceBounds:
     """The issue's measured bounds on a perf-bench-shaped workload."""
 
-    def _bench_workload(self):
-        """A miniature of what `repro perf` does under its spans."""
+    def _bench_workload(self, prof, *, min_samples=40, max_repeats=200):
+        """A miniature of what `repro perf` does under its spans.
+
+        The kernels repeat, like the bench's best-of-N, until ``prof``
+        holds more than ``min_samples`` samples (or ``max_repeats``
+        runs out), so a faster solver does not shrink the sample.
+        """
         from repro.graphs.generators import paper_suite
 
         with obs_trace.span("perf.bench.run"):
@@ -201,7 +206,7 @@ class TestAcceptanceBounds:
             from repro.algorithms.bfs import bfs
             from repro.algorithms.pagerank import pagerank
 
-            for _ in range(4):  # repeats, like the bench's best-of-N
+            for _ in range(max_repeats):
                 for name, graph in suite.items():
                     with obs_trace.span(
                         "perf.bench.kernel", kernel="bfs", graph=name
@@ -211,12 +216,14 @@ class TestAcceptanceBounds:
                         "perf.bench.kernel", kernel="pagerank", graph=name
                     ):
                         pagerank(graph)
+                if prof.samples > min_samples:
+                    break
 
     def test_attribution_at_least_90_percent(self, tracer):
         prof = SamplingProfiler(0.002)
         prof.start()
         try:
-            self._bench_workload()
+            self._bench_workload(prof)
         finally:
             prof.stop()
         assert prof.samples > 10

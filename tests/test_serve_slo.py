@@ -7,7 +7,9 @@ import json
 
 import pytest
 
+from repro.errors import DeadlineExceeded, Overloaded
 from repro.obs import metrics as obs_metrics
+from repro.obs.slo import SLOTracker, default_serve_slos
 from repro.serve.degrade import DegradationLadder
 from repro.serve.protocol import ADMIN_OPS, ServeClient
 from repro.serve.server import ReproServer
@@ -182,3 +184,79 @@ class TestLoadgenSLOGating:
         out.write_text(json.dumps(report, indent=2))
         doc = json.loads(out.read_text())
         assert doc["slo"][0]["compliance"] >= 0.5
+
+
+class TestAvailabilityDenominator:
+    """``serve.queries.total`` counts a query when it ends, with its
+    outcome: a query still in flight is neither good nor bad."""
+
+    @pytest.fixture
+    def srv(self):
+        srv = ReproServer(
+            ServeConfig(scale="tiny", seed=7, workers=2, self_check=False)
+        )
+        clock = {"t": 0.0}
+        srv.slo_tracker = SLOTracker(
+            default_serve_slos(), clock=lambda: clock["t"]
+        )
+        srv.clock = clock
+        yield srv
+        srv.stop(drain=False)
+
+    @staticmethod
+    def _tick(srv) -> float:
+        srv.clock["t"] += 1.0
+        return srv.slo_tracker.observe()
+
+    @staticmethod
+    def _query(srv) -> dict:
+        return srv.handle_line(b'{"op": "pr_topk", "graph": "rmat", "k": 3}')
+
+    def test_query_blocked_in_execute_burns_nothing(self, srv, monkeypatch):
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+        real_execute = srv.service.execute
+
+        def blocking(req, deadline):
+            entered.set()
+            assert release.wait(30)
+            return real_execute(req, deadline)
+
+        monkeypatch.setattr(srv.service, "execute", blocking)
+        self._tick(srv)
+        replies = []
+        worker = threading.Thread(target=lambda: replies.append(self._query(srv)))
+        worker.start()
+        try:
+            assert entered.wait(30)
+            assert self._tick(srv) == 0.0
+            assert srv.slo_tracker.status()["slos"][1]["windows"]["10s"] == 0.0
+        finally:
+            release.set()
+            worker.join(30)
+        assert replies[0]["status"] == "ok"
+        assert self._tick(srv) == 0.0
+
+    @pytest.mark.parametrize(
+        "failure, status",
+        [
+            (Overloaded("queue full"), "overloaded"),
+            (DeadlineExceeded("too slow"), "timeout"),
+            (RuntimeError("boom"), "error"),
+        ],
+    )
+    def test_failed_replies_still_burn(self, srv, monkeypatch, failure, status):
+        def failing(req, deadline):
+            raise failure
+
+        monkeypatch.setattr(srv.service, "execute", failing)
+        self._tick(srv)
+        assert self._query(srv)["status"] == status
+        assert self._tick(srv) > 1.0
+
+    def test_draining_replies_still_burn(self, srv):
+        self._tick(srv)
+        srv._draining.set()
+        assert self._query(srv)["status"] == "shutting_down"
+        assert self._tick(srv) > 1.0
