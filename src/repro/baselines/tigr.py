@@ -161,15 +161,14 @@ class _TigrContext(ExecutionContext):
             partition=partition,
         )
 
-    def charge_batch(self, sweeps, *, partition="vertex"):
+    def price_batch(self, sweeps):
         # batched pricing expands the sweeps' master frontiers over the
         # graph; each one must go through the virtual split instead
-        return [self.charge(exp.frontier, partition=partition) for exp in sweeps]
+        return [self.price(exp.frontier) for exp in sweeps]
 
-    def _ledger(self, cost):
-        # Tigr runs ledger their metrics only; they have never advanced
-        # the solve.* counters
-        self.metrics.add(cost)
+    def _count(self, costs):
+        """Tigr runs ledger their metrics only; they have never advanced
+        the ``solve.*`` counters."""
 
 
 class TigrRunner(Runner):

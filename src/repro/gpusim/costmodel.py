@@ -33,10 +33,10 @@ from .device import DeviceConfig
 
 __all__ = [
     "SweepCost",
-    "charge_lane_sweeps",
     "charge_sweep",
     "charge_sweeps_batched",
     "expand_accesses",
+    "fold_costs",
 ]
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -87,6 +87,36 @@ class SweepCost:
     def divergence_ratio(self) -> float:
         total = self.busy_lane_steps + self.idle_lane_steps
         return self.idle_lane_steps / total if total else 0.0
+
+
+def fold_costs(costs, start: SweepCost = SweepCost()) -> SweepCost:
+    """``start`` plus every cost in ``costs``, in order.
+
+    Bit-identical to a chain of :meth:`SweepCost.__add__` (the integer
+    fields are exact either way, and the cycles add in the same
+    left-to-right order), but one pass with local accumulators instead
+    of one new object per cost.
+    """
+    ss = start.serial_steps
+    bl = start.busy_lane_steps
+    il = start.idle_lane_steps
+    et = start.edge_transactions
+    ag = start.attr_global_transactions
+    ash = start.attr_shared_transactions
+    st = start.src_transactions
+    ao = start.atomic_ops
+    cy = start.cycles
+    for c in costs:
+        ss += c.serial_steps
+        bl += c.busy_lane_steps
+        il += c.idle_lane_steps
+        et += c.edge_transactions
+        ag += c.attr_global_transactions
+        ash += c.attr_shared_transactions
+        st += c.src_transactions
+        ao += c.atomic_ops
+        cy += c.cycles
+    return SweepCost(ss, bl, il, et, ag, ash, st, ao, cy)
 
 
 def expand_accesses(
@@ -275,36 +305,6 @@ def charge_sweeps_batched(
         for i in range(K)
     )
     return [next(costs) if s.frontier.size else SweepCost() for s in sweeps]
-
-
-def charge_lane_sweeps(
-    graph: CSRGraph,
-    device: DeviceConfig,
-    sweeps,
-    *,
-    resident_mask: np.ndarray | None = None,
-) -> list[SweepCost]:
-    """Per-lane charge attribution for a stacked multi-source sweep.
-
-    A batched engine (:mod:`repro.perf.batched`) expands many lanes'
-    frontiers in one concatenated gather, but each lane's costs must stay
-    attributable to its source as if that source had run alone.  Pass the
-    per-lane expansion slices here and every lane gets the exact
-    :class:`SweepCost` its looped :func:`charge_sweep` call would return
-    — same integers, bit-identical cycles.  The decomposition is exact
-    because the warp schedule restarts at every lane boundary (warps
-    never straddle lanes) and all transaction keys are lane-monotone, so
-    one global pass counts each lane's distinct accesses independently;
-    ``differential:batched`` and the batched-charging equivalence tests
-    prove this against the looped engine rather than assuming it.
-
-    This is :func:`charge_sweeps_batched` under a name that states the
-    contract; it exists so callers attributing per-lane charges don't
-    look like they are merely batching for host speed.
-    """
-    return charge_sweeps_batched(
-        graph, device, sweeps, resident_mask=resident_mask
-    )
 
 
 def charge_sweep(

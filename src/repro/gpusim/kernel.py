@@ -25,7 +25,7 @@ from ..graphs.properties import ragged_arange
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..perf.gather import SweepExpansion
-from .costmodel import SweepCost, charge_sweep, charge_sweeps_batched
+from .costmodel import SweepCost, charge_sweep, charge_sweeps_batched, fold_costs
 from .device import DeviceConfig, K40C
 from .metrics import SimMetrics
 
@@ -35,7 +35,7 @@ __all__ = ["ExecutionContext"]
 class ExecutionContext:
     """A simulated kernel stream bound to one graph and one device."""
 
-    #: edge count above which :meth:`charge_batch` charges a sweep on its
+    #: edge count above which :meth:`price_batch` prices a sweep on its
     #: own instead of folding it into a concatenated batch
     BATCH_EAGER_EDGES = 4096
 
@@ -257,78 +257,101 @@ class ExecutionContext:
             )
         return self._full_exp
 
-    def charge_batch(self, sweeps, *, partition: str = "vertex") -> list[SweepCost]:
-        """Charge many sweeps from their precomputed expansions at once.
+    def price_batch(self, sweeps) -> list[SweepCost]:
+        """Price many vertex-partitioned sweeps at once, unledgered.
 
         ``sweeps`` is a sequence of
         :class:`~repro.perf.gather.SweepExpansion`, one per sweep, each
-        already in processing order.  The ledger ends up exactly as if
-        :meth:`charge` had been called once per sweep in sequence —
-        same per-sweep costs, same accumulation order — but the cost
-        model's work is vectorized across the whole batch, which is
-        what keeps accounting cheap for level-synchronous solvers.
-        Returns the per-sweep costs in order, so a caller that sweeps
-        the same frontiers again can :meth:`repeat` them.
+        over ``self.graph`` and already in processing order.  Returns
+        the costs :meth:`price` would return one sweep at a time — same
+        integers, bit-identical cycles — with the cost model's work
+        vectorized across runs of small sweeps
+        (:func:`~repro.gpusim.costmodel.charge_sweeps_batched`), which
+        is what keeps accounting cheap for level-synchronous solvers.
 
-        With a non-identity processing order the expansions don't match
-        the warp assignment, so this degrades to per-sweep charging.
-        ``partition="edge"`` likewise charges per sweep — the batched
-        path models vertex-balanced warps only, and edge-balanced
-        schedules are exactly the ones whose huge dense sweeps the
-        batch would flush eagerly anyway.
-
-        Sweeps at or above ``BATCH_EAGER_EDGES`` edges are charged
-        eagerly even inside a batch: concatenating a huge expansion
-        costs more than the per-call overhead the batch saves, which
-        only pays off for runs of small frontiers.  The ledger order —
-        and with it the bit pattern of the accumulated float cycles —
-        is the per-sweep sequence either way.
+        Sweeps at or above ``BATCH_EAGER_EDGES`` edges are priced on
+        their own: concatenating a huge expansion costs more than the
+        per-call overhead a batch saves.  Runs of small sweeps are
+        priced in chunks of about eight times that many records: the
+        batched coster's dominant step is a key sort over every record
+        in the call, and bounded chunks keep it in cache.  With a
+        non-identity processing order the expansions don't match the
+        warp assignment, so every sweep is priced on its own.
         """
-        if not self._identity_order or partition != "vertex":
-            return [
-                self.charge(exp.frontier, expansion=exp, partition=partition)
-                for exp in sweeps
-            ]
+        sweeps = list(sweeps)
+        if not self._identity_order:
+            return [self.price(exp.frontier) for exp in sweeps]
+        costs: list[SweepCost | None] = [None] * len(sweeps)
+        chunk_records = self.BATCH_EAGER_EDGES * 8
+        run: list[int] = []
+        run_records = 0
 
-        costs: list[SweepCost] = []
-        run: list = []
+        def _price_run() -> None:
+            nonlocal run_records
+            if run:
+                with obs_trace.span("solve.sweep_batch", sweeps=len(run)):
+                    priced = charge_sweeps_batched(
+                        self.graph,
+                        self.device,
+                        [sweeps[k] for k in run],
+                        resident_mask=self.resident_mask,
+                    )
+                for k, cost in zip(run, priced):
+                    costs[k] = cost
+                run.clear()
+            run_records = 0
 
-        def _flush() -> None:
-            if not run:
-                return
-            with obs_trace.span("solve.sweep_batch", sweeps=len(run)):
-                priced = charge_sweeps_batched(
-                    self.graph,
-                    self.device,
-                    run,
-                    resident_mask=self.resident_mask,
-                )
-            for cost in priced:
-                self._ledger(cost)
-            costs.extend(priced)
-            run.clear()
-
-        for exp in sweeps:
+        for k, exp in enumerate(sweeps):
             if exp.epos.size >= self.BATCH_EAGER_EDGES:
-                _flush()
-                cost = charge_sweep(
+                costs[k] = charge_sweep(
                     self.graph,
                     self.device,
                     exp.frontier,
                     resident_mask=self.resident_mask,
                     expansion=exp,
                 )
-                self._ledger(cost)
-                costs.append(cost)
             else:
-                run.append(exp)
-        _flush()
+                run.append(k)
+                run_records += exp.epos.size
+                if run_records >= chunk_records:
+                    _price_run()
+        _price_run()
         return costs
+
+    def charge_batch(self, sweeps) -> list[SweepCost]:
+        """:meth:`price_batch`, then ledger each cost in order.
+
+        No solver calls this.  ``perfbench/spans.py`` times the pricing
+        layer by wrapping this method by name, so it stays until that
+        span list names :meth:`price_batch` instead.
+        """
+        costs = self.price_batch(sweeps)
+        self.ledger(costs)
+        return costs
+
+    def ledger(self, costs) -> None:
+        """Ledger sweeps priced earlier, in order.
+
+        The ledger, ``SimMetrics`` and ``solve.*`` counters end up
+        exactly as one :meth:`repeat` per cost would leave them (the
+        cycle totals add in the same left-to-right order), without the
+        per-sweep object churn or spans.
+        """
+        costs = list(costs)
+        self.metrics.total = fold_costs(costs, self.metrics.total)
+        self.metrics.num_sweeps += len(costs)
+        self._count(costs)
 
     def _ledger(self, cost: SweepCost) -> None:
         self.metrics.add(cost)
-        self._sweep_counter.inc()
-        self._cycle_counter.inc(cost.cycles)
+        self._count((cost,))
+
+    def _count(self, costs) -> None:
+        """Advance the ``solve.*`` counters for ledgered sweeps."""
+        # cost by cost, so the float bits follow the per-sweep order
+        for cost in costs:
+            self._cycle_counter.inc(cost.cycles)
+        self._sweep_counter.inc(len(costs))
 
     def charge_cost(self, cost: SweepCost) -> None:
         """Add an externally computed cost (e.g. a host-side reduction)."""

@@ -102,6 +102,11 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
+        # lock-free hit: instruments are created once and never replaced
+        # (reset() drops them all), and a dict read is atomic
+        c = self._counters.get(name)
+        if c is not None:
+            return c
         with self._lock:
             c = self._counters.get(name)
             if c is None:

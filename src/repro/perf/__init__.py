@@ -8,9 +8,7 @@ package closes that gap with three shared primitives plus a tracked
 wall-clock benchmark:
 
 * :mod:`repro.perf.gather` — O(frontier-edges) CSR gathers
-  (:func:`~repro.perf.gather.frontier_edges`) and the per-source
-  level-bucketed edge index (:class:`~repro.perf.gather.LevelBuckets`)
-  that replaces per-level full-edge masks in BC's backward pass;
+  (:func:`~repro.perf.gather.frontier_edges`);
 * :mod:`repro.perf.workspace` — a :class:`~repro.perf.workspace.WorkspacePool`
   of reusable scratch buffers and the touched-destinations change
   detector :func:`~repro.perf.workspace.scatter_min_changed`, eliminating
@@ -31,8 +29,9 @@ wall-clock benchmark:
   per-lane charge attribution bit-identical to looped runs
   (:class:`~repro.perf.batched.LaneLedger`), and the
   :func:`~repro.perf.batched.bfs_levels_batched` /
-  :func:`~repro.perf.batched.sssp_batched` entry points behind BC's
-  ``engine="batched"`` and the serve layer's batching window;
+  :func:`~repro.perf.batched.sssp_batched` entry points; every BC call
+  runs on it, a single source as one lane, and the serve layer's
+  batching window cashes it in;
 * :mod:`repro.perf.bench` — ``python -m repro perf``, the kernel
   benchmark that emits ``BENCH_PR4.json`` and gates regressions in CI.
 
@@ -55,7 +54,7 @@ from .batched import (
     sssp_batched,
 )
 from .edgeshare import EdgeView, PullEdgeView, shared_edge_view, shared_pull_view
-from .gather import LevelBuckets, frontier_edges
+from .gather import frontier_edges
 from .schedule import (
     DirectionOptimizing,
     Explicit,
@@ -74,7 +73,6 @@ __all__ = [
     "FixedPush",
     "LaneExpansion",
     "LaneLedger",
-    "LevelBuckets",
     "PullEdgeView",
     "Schedule",
     "SweepDecision",

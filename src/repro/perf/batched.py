@@ -7,14 +7,15 @@ into *lanes*: state lives in ``(S, n)`` C-contiguous arrays whose flat
 view puts lane ``l``'s node ``v`` at ``l * n + v``, frontiers stay
 per-lane sparse id arrays, and each level runs **one** concatenated CSR
 gather plus **one** flat scatter across every active lane
-(:func:`expand_lanes`).  BC's ``engine="batched"``
-(:func:`repro.algorithms.bc.betweenness_centrality`) and the
-:func:`bfs_levels_batched` / :func:`sssp_batched` entry points here are
-built on it; the serve layer's batching window
+(:func:`expand_lanes`).  Every BC call
+(:func:`repro.algorithms.bc.betweenness_centrality`, one source being
+one lane) and the :func:`bfs_levels_batched` / :func:`sssp_batched`
+entry points here are built on it; the serve layer's batching window
 (:mod:`repro.serve.batching`) cashes it in for same-graph query bursts.
 
 The engine is an optimization, not an approximation — every lane must be
-indistinguishable from its looped run.  Three facts make that exact:
+indistinguishable from its source run alone.  Three facts make that
+exact:
 
 * **disjoint rows** — lane ``l``'s scatter targets live in
   ``[l*n, (l+1)*n)``; ``np.add.at`` / ``np.minimum.at`` accumulation
@@ -27,15 +28,15 @@ indistinguishable from its looped run.  Three facts make that exact:
   push/pull/partition sequence is identical whether it runs alone or
   stacked;
 * **exact charge decomposition** —
-  :func:`repro.gpusim.costmodel.charge_lane_sweeps` returns each lane's
-  :class:`~repro.gpusim.costmodel.SweepCost` bit-identical to its looped
-  ``charge_sweep``; :class:`LaneLedger` keeps the per-lane cost lists in
-  looped sweep order and replays them source-by-source into the
+  :meth:`~repro.gpusim.kernel.ExecutionContext.price_batch` returns
+  each lane's :class:`~repro.gpusim.costmodel.SweepCost` bit-identical
+  to pricing it alone; :class:`LaneLedger` keeps the per-lane cost
+  lists in sweep order and replays them source-by-source into the
   execution context, so totals *and* observability counters match the
-  looped engine byte for byte.
+  sources run back to back, byte for byte.
 
 ``differential:batched`` (:mod:`repro.verify.differential`) enforces all
-three against the looped engine across the technique corpus.
+three against one-source runs across the technique corpus.
 
 Memory model: dense lane state is ``S × n`` words per attribute, while
 frontiers stay per-lane sparse — the expansion cost is the sum of lane
@@ -51,7 +52,10 @@ import numpy as np
 
 from ..errors import AlgorithmError, SimulationError
 from ..graphs.properties import ragged_arange
-from ..gpusim.costmodel import SweepCost, charge_lane_sweeps, charge_sweep
+from ..gpusim.costmodel import SweepCost, fold_costs
+# ``perfbench/spans.py`` times pricing by wrapping these two names here
+from ..gpusim.costmodel import charge_sweep  # noqa: F401
+from ..gpusim.costmodel import charge_sweeps_batched as charge_lane_sweeps  # noqa: F401
 from ..gpusim.device import DeviceConfig, K40C
 from ..gpusim.metrics import SimMetrics
 from ..obs import metrics as obs_metrics
@@ -99,19 +103,17 @@ def expand_lanes(
 ) -> LaneExpansion:
     """Expand many frontiers over one CSR in a single concatenated gather."""
     frontiers = [np.asarray(f, dtype=np.int64) for f in frontiers]
-    counts = np.fromiter(
-        (f.size for f in frontiers), dtype=np.int64, count=len(frontiers)
-    )
-    node_bounds = np.concatenate(([0], np.cumsum(counts)))
-    cat = (
-        np.concatenate(frontiers)
-        if len(frontiers) > 1
-        else frontiers[0]
-    )
+    if len(frontiers) == 1:
+        cat = frontiers[0]
+        node_bounds = [0, cat.size]
+    else:
+        cat = np.concatenate(frontiers)
+        node_bounds = [0]
+        for f in frontiers:
+            node_bounds.append(node_bounds[-1] + f.size)
     starts = offsets[cat].astype(np.int64)
-    degs = (offsets[cat + 1] - offsets[cat]).astype(np.int64)
-    edge_cum = np.concatenate(([0], np.cumsum(degs)))
-    rec_bounds = edge_cum[node_bounds]
+    degs = offsets[cat + 1].astype(np.int64) - starts
+    edge_cum = np.cumsum(degs)
     total = int(edge_cum[-1]) if edge_cum.size else 0
     if total:
         step = ragged_arange(degs)
@@ -121,11 +123,10 @@ def expand_lanes(
     else:
         step = epos = np.empty(0, dtype=np.int64)
         e_src = e_dst = np.empty(0, dtype=np.int64)
+    rb = [0] + [int(edge_cum[k - 1]) if k else 0 for k in node_bounds[1:]]
     sweeps = []
-    nb = node_bounds.tolist()
-    rb = rec_bounds.tolist()
     for i, frontier in enumerate(frontiers):
-        nb0, nb1 = nb[i], nb[i + 1]
+        nb0, nb1 = node_bounds[i], node_bounds[i + 1]
         rb0, rb1 = rb[i], rb[i + 1]
         sweeps.append(
             SweepExpansion(
@@ -140,33 +141,36 @@ def expand_lanes(
     obs_metrics.counter("perf.batched.expansions").inc()
     obs_metrics.counter("perf.batched.expansion_lanes").inc(len(frontiers))
     obs_metrics.counter("perf.batched.expansion_edges").inc(total)
-    return LaneExpansion(frontiers, e_src, e_dst, epos, rec_bounds, sweeps)
+    return LaneExpansion(
+        frontiers, e_src, e_dst, epos, np.asarray(rb, dtype=np.int64), sweeps
+    )
 
 
 class LaneLedger:
     """Per-lane :class:`SweepCost` lists in looped sweep order.
 
-    Lane ``l``'s list is exactly the cost sequence its looped run would
+    Lane ``l``'s list is exactly the cost sequence its own S=1 run would
     ledger; :meth:`replay` feeds them to the context lane by lane in
-    source order, reproducing the looped engine's accumulated metrics
-    (and ``solve.sweeps`` / ``solve.sim_cycles`` counters) bit for bit.
+    source order, reproducing the accumulated metrics (and ``solve.*``
+    counters) of the sources run back to back, bit for bit.
 
     Charges may be *deferred*: :meth:`defer` reserves the cost's slot in
     the lane's sequence and queues the expansion; :meth:`flush` prices
-    the whole queue at once, mirroring
-    :meth:`ExecutionContext.charge_batch
-    <repro.gpusim.kernel.ExecutionContext.charge_batch>` — one
-    :func:`~repro.gpusim.costmodel.charge_lane_sweeps` pass for runs of
-    small sweeps, the scalar hot path for sweeps at or above
-    ``BATCH_EAGER_EDGES`` records (concatenating a huge expansion costs
-    more than the per-call overhead it saves).  Slot reservation keeps
+    the queue with one
+    :meth:`~repro.gpusim.kernel.ExecutionContext.price_batch` call, and
+    runs by itself once the queue holds a pricing chunk's worth of
+    records, so queued expansions stay bounded.  Slot reservation keeps
     each lane's list in level order even when eager charges (pull or
-    edge-partitioned sweeps) interleave with deferred ones.
+    edge-partitioned sweeps) interleave with deferred ones.  Pricing and
+    ledgering go through the context's own methods, so a context that
+    prices differently (Tigr's virtual split) does so for every lane.
     """
 
-    def __init__(self, num_lanes: int) -> None:
+    def __init__(self, ctx, num_lanes: int) -> None:
+        self.ctx = ctx
         self.costs: list[list[SweepCost]] = [[] for _ in range(num_lanes)]
         self._pending: list[tuple[int, int, SweepExpansion]] = []
+        self._pending_records = 0
 
     def add(self, lane: int, cost: SweepCost) -> None:
         self.costs[lane].append(cost)
@@ -174,135 +178,70 @@ class LaneLedger:
     def defer(self, lane: int, expansion: SweepExpansion) -> None:
         self.costs[lane].append(None)
         self._pending.append((lane, len(self.costs[lane]) - 1, expansion))
+        self._pending_records += expansion.epos.size
+        if self._pending_records >= self.ctx.BATCH_EAGER_EDGES * 8:
+            self.flush()
 
-    def flush(self, ctx) -> None:
-        """Price all deferred sweeps (vertex-partition, identity order)."""
+    def flush(self) -> None:
+        """Price all deferred sweeps (vertex partition)."""
         if not self._pending:
             return
-        # runs of small sweeps are priced in record-bounded chunks: the
-        # batched coster's dominant step is a key sort over all records
-        # in the call, and chunks sized like the looped engine's per-pass
-        # flushes keep that sort in cache instead of going superlinear
-        chunk_records = ctx.BATCH_EAGER_EDGES * 8
-        run: list[tuple[int, int, SweepExpansion]] = []
-        run_records = 0
-
-        def _price_run() -> None:
-            nonlocal run_records
-            if not run:
-                return
-            priced = charge_lane_sweeps(
-                ctx.graph,
-                ctx.device,
-                [exp for _, _, exp in run],
-                resident_mask=ctx.resident_mask,
-            )
-            for (lane, slot, _), cost in zip(run, priced):
-                self.costs[lane][slot] = cost
-            run.clear()
-            run_records = 0
-
-        for lane, slot, exp in self._pending:
-            if exp.epos.size >= ctx.BATCH_EAGER_EDGES:
-                self.costs[lane][slot] = charge_sweep(
-                    ctx.graph,
-                    ctx.device,
-                    exp.frontier,
-                    resident_mask=ctx.resident_mask,
-                    expansion=exp,
-                )
-            else:
-                run.append((lane, slot, exp))
-                run_records += exp.epos.size
-                if run_records >= chunk_records:
-                    _price_run()
-        _price_run()
+        priced = self.ctx.price_batch([exp for _, _, exp in self._pending])
+        for (lane, slot, _), cost in zip(self._pending, priced):
+            self.costs[lane][slot] = cost
         self._pending.clear()
+        self._pending_records = 0
 
     def repeat(self, lanes, index: int) -> None:
         """Append, per lane, its already priced ``index``-th cost again
         (the lane sweeps the same frontier over the same structure)."""
-        if self._pending:
-            raise SimulationError("lane ledger has unpriced deferred sweeps")
+        self._check_priced()
         for lane in lanes:
             self.costs[lane].append(self.costs[lane][index])
         _count_level(len(lanes))
 
-    @staticmethod
-    def _fold(costs, base: SweepCost) -> SweepCost:
-        # one pass with local accumulators instead of a SweepCost.__add__
-        # chain: the int fields are exact either way, and cycles adds in
-        # the same left-to-right order starting from ``base``, so the
-        # total is bit-identical to SimMetrics.add-ing each cost in
-        # sequence — just without the per-cost object churn
-        ss = base.serial_steps
-        bl = base.busy_lane_steps
-        il = base.idle_lane_steps
-        et = base.edge_transactions
-        ag = base.attr_global_transactions
-        ash = base.attr_shared_transactions
-        st = base.src_transactions
-        ao = base.atomic_ops
-        cy = base.cycles
-        for c in costs:
-            ss += c.serial_steps
-            bl += c.busy_lane_steps
-            il += c.idle_lane_steps
-            et += c.edge_transactions
-            ag += c.attr_global_transactions
-            ash += c.attr_shared_transactions
-            st += c.src_transactions
-            ao += c.atomic_ops
-            cy += c.cycles
-        return SweepCost(ss, bl, il, et, ag, ash, st, ao, cy)
-
-    def lane_metrics(self, device: DeviceConfig) -> list[SimMetrics]:
+    def _check_priced(self) -> None:
         if self._pending:
             raise SimulationError("lane ledger has unpriced deferred sweeps")
+
+    def lane_metrics(self, device: DeviceConfig) -> list[SimMetrics]:
+        self._check_priced()
         out = []
         for costs in self.costs:
             m = SimMetrics(device=device)
-            m.total = self._fold(costs, m.total)
+            m.total = fold_costs(costs, m.total)
             m.num_sweeps = len(costs)
             out.append(m)
         return out
 
-    def replay(self, ctx) -> None:
-        if self._pending:
-            raise SimulationError("lane ledger has unpriced deferred sweeps")
-        count = 0
-        for costs in self.costs:
-            # the cycle counter still advances cost by cost so its float
-            # bits match the looped engine's per-sweep increments
-            for cost in costs:
-                ctx._cycle_counter.inc(cost.cycles)
-            count += len(costs)
-        ctx.metrics.total = self._fold(
-            (c for costs in self.costs for c in costs), ctx.metrics.total
-        )
-        ctx.metrics.num_sweeps += count
-        ctx._sweep_counter.inc(count)
+    def replay(self) -> None:
+        """Ledger every lane's costs into the context, lane by lane."""
+        self._check_priced()
+        self.ctx.ledger(c for costs in self.costs for c in costs)
 
 
-def charge_lane_level(ctx, ledger: LaneLedger, lanes, sweeps, decisions) -> None:
+def charge_lane_level(ledger: LaneLedger, lanes, sweeps, decisions) -> None:
     """Charge one stacked level: per-lane costs, appended in lane order.
 
-    Vertex-partitioned identity-order lanes defer to the ledger's
-    batched pricing pass (:meth:`LaneLedger.flush`); edge-balanced or
-    permuted-order lanes are priced eagerly (exactly the sweeps the
-    looped engine also charges one at a time).
+    Vertex-partitioned lanes defer to the ledger's batched pricing pass
+    (:meth:`LaneLedger.flush`); edge-balanced lanes are priced eagerly.
+    ``decisions`` is ``None`` when no schedule runs (every lane is
+    vertex-partitioned).
     """
-    parts = [
-        "vertex" if d is None else d.partition for d in decisions
-    ]
-    for lane, exp, part in zip(lanes, sweeps, parts):
-        if ctx._identity_order and part == "vertex":
+    if decisions is None:
+        for lane, exp in zip(lanes, sweeps):
             ledger.defer(lane, exp)
-        else:
-            ledger.add(
-                lane,
-                ctx.price(exp.frontier, expansion=exp, partition=part),
-            )
+    else:
+        for lane, exp, d in zip(lanes, sweeps, decisions):
+            if d is None or d.partition == "vertex":
+                ledger.defer(lane, exp)
+            else:
+                ledger.add(
+                    lane,
+                    ledger.ctx.price(
+                        exp.frontier, expansion=exp, partition=d.partition
+                    ),
+                )
     _count_level(len(lanes))
 
 
@@ -343,7 +282,9 @@ def lane_sources(sources, num_original: int) -> np.ndarray:
     return sources
 
 
-def _replica_info(plan):
+def replica_info(plan):
+    """``(primary slot of each original node, replica-group member
+    slots, their group ids, number of groups)`` of a plan."""
     if plan.graffix is not None:
         primary = plan.graffix.primary_slot
         g_slots, g_gids, g_sizes = plan.graffix.replica_groups()
@@ -353,8 +294,10 @@ def _replica_info(plan):
     return primary, g_slots, g_gids, int(g_sizes.size)
 
 
-def _sync_groups(level, g_slots, g_gids, num_groups) -> None:
-    # replica copies are one logical node (same rule as bfs/bc)
+def sync_levels(level, g_slots, g_gids, num_groups) -> None:
+    """Replica copies are one logical node: when any copy is reached,
+    every copy is (a replica has no in-edges of its own, so without
+    this its out-edges — moved off the original — would never fire)."""
     if num_groups == 0:
         return
     lv = level[g_slots].astype(np.float64)
@@ -396,7 +339,7 @@ def bfs_levels_batched(
     m = graph.num_edges
     offsets = graph.offsets
     indices = graph.indices.astype(np.int64)
-    primary, g_slots, g_gids, num_groups = _replica_info(plan)
+    primary, g_slots, g_gids, num_groups = replica_info(plan)
     pull_view = None
     rev_indices = None
 
@@ -414,13 +357,13 @@ def bfs_levels_batched(
     for i, s in enumerate(sources):
         lv = level2[i]
         lv[int(primary[s])] = 0
-        _sync_groups(lv, g_slots, g_gids, num_groups)
+        sync_levels(lv, g_slots, g_gids, num_groups)
         f = np.nonzero(lv == 0)[0].astype(np.int64)
         frontiers[i] = f
         unexplored[i] = m - int((offsets[f + 1] - offsets[f]).sum())
     lane_depth = np.zeros(num_lanes, dtype=np.int64)
     prev = [None] * num_lanes
-    ledger = LaneLedger(num_lanes)
+    ledger = LaneLedger(ctx, num_lanes)
     active = [i for i in range(num_lanes) if frontiers[i].size]
     depth = 0
     obs_metrics.counter("perf.batched.runs").inc()
@@ -494,7 +437,6 @@ def bfs_levels_batched(
                     fresh = lx.e_dst[rb0:rb1][fm]
                     newly[i] = fresh if fresh.size else None
                 charge_lane_level(
-                    ctx,
                     ledger,
                     push_lanes,
                     lx.sweeps,
@@ -503,7 +445,7 @@ def bfs_levels_batched(
             still = []
             for i in active:
                 lv = level2[i]
-                _sync_groups(lv, g_slots, g_gids, num_groups)
+                sync_levels(lv, g_slots, g_gids, num_groups)
                 decision = decisions[i]
                 if (
                     decision is not None
@@ -526,7 +468,7 @@ def bfs_levels_batched(
             active = still
             depth += 1
 
-    ledger.flush(ctx)
+    ledger.flush()
     values = np.empty((num_lanes, plan.num_original))
     for i in range(num_lanes):
         lv = level2[i]
@@ -536,7 +478,7 @@ def bfs_levels_batched(
         row[row < 0] = np.inf
         values[i] = row
     lane_metrics = ledger.lane_metrics(device)
-    ledger.replay(ctx)
+    ledger.replay()
     return BatchedResult(
         values=values,
         iterations=[int(d) for d in lane_depth],
@@ -637,7 +579,7 @@ def sssp_batched(
     approximate = plan.has_replicas
     envelope = dist2.copy() if approximate else None
     iterations = np.zeros(num_lanes, dtype=np.int64)
-    ledger = LaneLedger(num_lanes)
+    ledger = LaneLedger(ctx, num_lanes)
     active = list(range(num_lanes))
     obs_metrics.counter("perf.batched.runs").inc()
     obs_metrics.counter("perf.batched.lanes").inc(num_lanes)
@@ -699,7 +641,7 @@ def sssp_batched(
 
     values = np.stack([plan.lower(dist2[i]) for i in range(num_lanes)])
     lane_metrics = ledger.lane_metrics(device)
-    ledger.replay(ctx)
+    ledger.replay()
     return BatchedResult(
         values=values,
         iterations=[int(k) for k in iterations],

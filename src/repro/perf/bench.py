@@ -3,10 +3,9 @@
 Times the solver hot paths per algorithm × graph at a fixed suite scale
 and emits a JSON report (``BENCH_PR4.json`` by convention) — the
 repo's tracked perf trajectory.  Where a pre-engine reference path
-exists (BC's ``np.isin`` scan, SSSP/WCC's snapshot loops — see
-:mod:`repro.perf.reference`), the report carries both timings and the
-``speedup_vs_reference`` ratio, which is machine-portable in a way raw
-seconds are not.
+exists (SSSP/WCC's snapshot loops — see :mod:`repro.perf.reference`),
+the report carries both timings and the ``speedup_vs_reference`` ratio,
+which is machine-portable in a way raw seconds are not.
 
 Regression gating (the redisbench-style committed-baseline pattern)::
 
@@ -16,7 +15,7 @@ Regression gating (the redisbench-style committed-baseline pattern)::
 ``--check`` compares each kernel's measured seconds against the
 committed baseline and exits non-zero on any kernel slower than
 ``max-regression`` times its baseline; ``--min-bc-speedup`` additionally
-gates the aggregate BC speedup over the reference path.
+gates the ``bc@batched`` row's best per-graph ``speedup_vs_looped``.
 
 Each row also carries its raw per-repeat ``samples`` (so ``python -m
 repro obs diff`` can derive noise-aware thresholds from the actual
@@ -35,9 +34,9 @@ direction-optimizing policy against the fixed-push base rows; their
 bottom-up sweeps once frontiers densify.  Two more comparison rows,
 ``bc@batched`` and ``sssp@batched``, stack ``--batch-sources`` sources
 into one multi-source sweep (:mod:`repro.perf.batched`) and time the
-same sources through the per-source loop; ``speedup_vs_looped`` is the
-batching win, with answers and charges proven bit-identical by
-``differential:batched``.
+same sources run one per call (BC: S=1 calls of the same engine);
+``speedup_vs_looped`` is the batching win, with answers and charges
+proven bit-identical by ``differential:batched``.
 
 Two more comparison rows, ``sssp@tuned`` and ``pagerank@tuned``, run
 the same workload under the adaptive controller
@@ -108,13 +107,19 @@ def _kernels(
         ErrorBudget(target_percent=tune_budget), exact_graph=g
     )
 
-    def bc_engine(g, engine, sched=None, num_sources=_BC_SOURCES):
+    def bc(g, sched=None, num_sources=_BC_SOURCES):
         return betweenness_centrality(
-            g, num_sources=num_sources, seed=0, engine=engine, schedule=sched
+            g, num_sources=num_sources, seed=0, schedule=sched
         )
 
     def batch_srcs(g):
         return pick_sources(g.num_nodes, min(batch_sources, g.num_nodes), 0)
+
+    def bc_looped(g):
+        last = None
+        for s in batch_srcs(g):
+            last = betweenness_centrality(g, sources=[int(s)])
+        return last
 
     def sssp_looped(g):
         last = None
@@ -128,8 +133,8 @@ def _kernels(
         {
             "kernel": "bc",
             "schedule": label,
-            "run": lambda g: bc_engine(g, "gather", schedule),
-            "reference": lambda g: bc_engine(g, "reference"),
+            "run": lambda g: bc(g, schedule),
+            "reference": None,
         },
         {
             "kernel": "sssp",
@@ -178,23 +183,19 @@ def _kernels(
         {
             "kernel": "bc@diropt",
             "schedule": "direction-optimizing",
-            "run": lambda g: bc_engine(g, "gather", "direction-optimizing"),
+            "run": lambda g: bc(g, "direction-optimizing"),
             "reference": None,
         },
         # batched multi-source rows: one stacked sweep over
-        # ``batch_sources`` lanes vs the same sources run back to back
-        # through the looped engine; ``speedup_vs_looped`` is the paper's
-        # batching win (bit-identical answers — differential:batched)
+        # ``batch_sources`` lanes vs the same sources run back to back,
+        # one per call; ``speedup_vs_looped`` is the batching win
+        # (bit-identical lanes — differential:batched)
         {
             "kernel": "bc@batched",
             "schedule": None,
-            "run": lambda g: bc_engine(
-                g, "batched", num_sources=batch_sources
-            ),
+            "run": lambda g: bc(g, num_sources=batch_sources),
             "reference": None,
-            "looped": lambda g: bc_engine(
-                g, "gather", num_sources=batch_sources
-            ),
+            "looped": bc_looped,
         },
         {
             "kernel": "sssp@batched",
@@ -391,10 +392,9 @@ def aggregate_speedup(report: dict, kernel: str) -> float | None:
 def best_speedup(report: dict, kernel: str) -> float | None:
     """Max per-graph speedup vs reference for ``kernel``.
 
-    The engine's win scales with graph diameter (more levels → more
-    full-edge scans amortized away), so the suite's high-diameter road
-    graph is where the asymptotic gap shows; the aggregate averages it
-    with low-diameter graphs whose sweeps were already cheap.
+    The engine's win differs by graph, so the best row shows where the
+    gap is largest; the aggregate averages it with graphs whose sweeps
+    were already cheap.
     """
     speedups = [
         r["speedup_vs_reference"]
@@ -565,7 +565,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-regression", type=float, default=2.0)
     parser.add_argument(
         "--min-bc-speedup", type=float, default=0.0,
-        help="fail unless the best per-graph BC speedup vs reference meets this",
+        help="fail unless the bc@batched row's best per-graph speedup over "
+        "the same sources run one per call meets this",
     )
     parser.add_argument(
         "--record-trajectory", nargs="?", const=str(TRAJECTORY_PATH),
@@ -607,16 +608,23 @@ def main(argv: list[str] | None = None) -> int:
 
     status = 0
     if args.min_bc_speedup > 0:
-        best = report.get("best_speedup_vs_reference", {}).get("bc", 0.0)
+        best = max(
+            (
+                r["speedup_vs_looped"]
+                for r in report["kernels"]
+                if r["kernel"] == "bc@batched"
+            ),
+            default=0.0,
+        )
         if best < args.min_bc_speedup:
             print(
-                f"FAIL: best per-graph BC speedup {best:.2f}x is below the "
-                f"required {args.min_bc_speedup:.2f}x"
+                f"FAIL: best per-graph batched BC speedup {best:.2f}x is "
+                f"below the required {args.min_bc_speedup:.2f}x"
             )
             status = 1
         else:
             print(
-                f"best per-graph BC speedup {best:.2f}x meets the "
+                f"best per-graph batched BC speedup {best:.2f}x meets the "
                 f"{args.min_bc_speedup:.2f}x floor"
             )
     if args.check:

@@ -395,14 +395,12 @@ class GraphService:
             return float(res.values[nd])
 
         if self.batcher is not None and batch_key is not None:
-            # one BC run answers every node in the group, and the batched
-            # engine stacks its sampled sources into one sweep besides
+            # one BC run answers every node in the group
             def batch(nodes: list[int], dl: Deadline) -> list[float]:
                 res = betweenness_centrality(
                     plan,
                     num_sources=num_sources,
                     seed=seed,
-                    engine="batched",
                     device=self.config.device,
                     runner_factory=deadline_runner_factory(dl),
                 )

@@ -113,17 +113,6 @@ def _metamorphic_checks(corpus, seed, device):
 
 
 def _differential_checks(corpus, seed, device):
-    yield "differential:bc-engines:rmat:exact", lambda: (
-        differential.check_bc_engines(
-            corpus["rmat"], technique="exact", seed=seed, device=device
-        )
-    )
-    yield "differential:bc-engines:social:coalescing", lambda: (
-        differential.check_bc_engines(
-            corpus["social"], technique="coalescing", seed=seed, device=device
-        )
-    )
-
     yield "differential:schedules:road:exact", lambda: (
         differential.check_schedules(
             corpus["road"], technique="exact", seed=seed, device=device

@@ -4,8 +4,6 @@ Two independent paths to the same answer must agree *byte for byte* —
 both in solver values and in the simulated cost charges — or one of them
 is wrong:
 
-* :func:`check_bc_engines` — the PR 4 frontier-gather BC engine against
-  the preserved reference path;
 * :func:`check_cache_differential` — an uncached plan build against a
   cold-store build and a warm disk-tier reload (``--cache-dir``);
 * :func:`check_serial_parallel` — ``TableRunner``'s in-process sweep
@@ -18,7 +16,8 @@ is wrong:
   (:mod:`repro.perf.batched`) against per-source loops: every lane's
   values, iteration count, and cost-model charges must be byte-equal to
   the corresponding solo run, over adversarial source sets (single
-  source, pairs, duplicates, more than half the graph).
+  source, pairs, duplicates, more than half the graph); BC's stacked
+  lanes must decompose into the same sources run one per call.
 
 ``preprocess_seconds`` is the one field deliberately excluded from plan
 comparisons: it is wall-clock and legitimately differs between runs.
@@ -39,8 +38,8 @@ from ..gpusim.device import DeviceConfig, K40C
 from .invariants import Violation
 
 __all__ = [
+    "bc_lane_violations",
     "check_batched",
-    "check_bc_engines",
     "check_cache_differential",
     "check_schedules",
     "check_serial_parallel",
@@ -138,28 +137,6 @@ def _results_identical(a, b, what: str) -> list[Violation]:
             )
         )
     return v
-
-
-# ---------------------------------------------------------------------------
-def check_bc_engines(
-    graph: CSRGraph,
-    *,
-    technique: str = "exact",
-    seed: int = 0,
-    device: DeviceConfig = K40C,
-) -> list[Violation]:
-    """``engine="gather"`` and ``engine="reference"`` must match exactly."""
-    target: CSRGraph | ExecutionPlan = graph
-    if technique != "exact":
-        target = build_plan(graph, technique, device=device)
-    sources = pick_sources(graph.num_nodes, min(4, graph.num_nodes), seed)
-    gather = betweenness_centrality(
-        target, sources=sources, engine="gather", device=device
-    )
-    reference = betweenness_centrality(
-        target, sources=sources, engine="reference", device=device
-    )
-    return _results_identical(gather, reference, f"bc_engines.{technique}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +238,52 @@ def _lane_violations(
     return v
 
 
+def bc_lane_violations(bat, srcs, what: str, solo_run) -> list[Violation]:
+    """Diff a stacked BC run against its sources run one per call.
+
+    Lane ``k``'s charges and level count must be byte-equal to
+    ``solo_run(srcs[k])``'s, and the scores to the solo scores summed
+    in source order (how the stacked run adds its lanes)."""
+    v: list[Violation] = []
+    summed = np.zeros_like(bat.values)
+    iterations = 0
+    for k, s in enumerate(srcs):
+        solo = solo_run(int(s))
+        summed += solo.values
+        iterations += solo.iterations
+        sa = bat.aux["per_source_metrics"][k].summary()
+        ss = solo.metrics.summary()
+        if sa != ss:
+            keys = sorted(x for x in set(sa) | set(ss) if sa.get(x) != ss.get(x))
+            v.append(
+                Violation(
+                    f"differential.{what}",
+                    f"lane {k} per-source charges differ on {keys}",
+                )
+            )
+        if bat.aux["per_source_iterations"][k] != solo.iterations:
+            v.append(
+                Violation(
+                    f"differential.{what}", f"lane {k} iteration count differs"
+                )
+            )
+    if bat.values.tobytes() != summed.tobytes():
+        v.append(
+            Violation(
+                f"differential.{what}",
+                "stacked scores are not byte-equal to the summed solo scores",
+            )
+        )
+    if bat.iterations != iterations:
+        v.append(
+            Violation(
+                f"differential.{what}",
+                f"iteration counts differ ({bat.iterations} vs {iterations})",
+            )
+        )
+    return v
+
+
 def check_batched(
     graph: CSRGraph,
     *,
@@ -275,11 +298,11 @@ def check_batched(
     :func:`~repro.perf.batched.sssp_batched` must match the corresponding
     single-source run byte-for-byte — values, iteration count, *and* the
     per-lane cost-model charges (the batched charging theorem, checked
-    rather than assumed).  For BC, ``engine="batched"`` must reproduce
-    ``engine="gather"`` exactly, including the per-source metrics in
-    ``aux``.  Source sets are chosen adversarially: a single source, a
-    pair, a set with duplicate sources, and one covering more than half
-    the graph.
+    rather than assumed).  For BC, the stacked run's per-source metrics
+    and level counts must equal the same sources run one per call, and
+    its scores their summed scores.  Source sets are chosen
+    adversarially: a single source, a pair, a set with duplicate
+    sources, and one covering more than half the graph.
     """
     from ..algorithms.bfs import bfs
     from ..perf.batched import bfs_levels_batched, sssp_batched
@@ -313,39 +336,15 @@ def check_batched(
                 v += _lane_violations(sb, k, solo_sssp, f"{tag}.sssp")
 
         srcs = source_sets[-1][1]
-        ref = betweenness_centrality(
-            target, sources=srcs, engine="gather", device=device,
-            schedule=schedule,
-        )
         bat = betweenness_centrality(
-            target, sources=srcs, engine="batched", device=device,
-            schedule=schedule,
+            target, sources=srcs, device=device, schedule=schedule
         )
-        v += _results_identical(bat, ref, f"batched.{technique}.{sched_tag}.bc")
-        for k, s in enumerate(srcs):
-            solo = betweenness_centrality(
-                target, sources=[int(s)], engine="gather", device=device,
-                schedule=schedule,
-            )
-            sa = bat.aux["per_source_metrics"][k].summary()
-            ss = solo.metrics.summary()
-            if sa != ss:
-                keys = sorted(
-                    x for x in set(sa) | set(ss) if sa.get(x) != ss.get(x)
-                )
-                v.append(
-                    Violation(
-                        f"differential.batched.{technique}.{sched_tag}.bc",
-                        f"lane {k} per-source charges differ on {keys}",
-                    )
-                )
-            if bat.aux["per_source_iterations"][k] != solo.iterations:
-                v.append(
-                    Violation(
-                        f"differential.batched.{technique}.{sched_tag}.bc",
-                        f"lane {k} iteration count differs",
-                    )
-                )
+        v += bc_lane_violations(
+            bat, srcs, f"batched.{technique}.{sched_tag}.bc",
+            lambda s: betweenness_centrality(
+                target, sources=[s], device=device, schedule=schedule
+            ),
+        )
     return v
 
 

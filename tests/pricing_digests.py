@@ -9,9 +9,15 @@ iteration count and a digest of the values.  Lane-engine cases also pin
 each lane's summary.  ``test_pricing_fixture.py`` checks the current
 code against it bit for bit.
 
-Tigr BC cases are generated with ``engine="reference"`` (one charge per
-level through the virtual split) and checked against the default
-engine, which must price the same sweeps.
+The fixture was generated when BC had three engines (a looped
+``gather`` engine, the pre-engine ``reference`` scan and the stacked
+``batched`` lanes), which matched bit for bit; one lane engine now runs
+every BC call.  The case ids keep the old engine names: ``bc/gather*``
+and ``bc/reference`` pin its totals, ``bc/batched*`` its totals and
+per-lane charges.  Cases pinned from a looped engine (which attributed
+no per-lane charges) digest the result without them (:func:`totals_only`).
+Tigr BC cases were generated with the reference engine, one charge per
+level through the virtual split.
 
 Regenerate (only when a pricing change is intended)::
 
@@ -20,6 +26,7 @@ Regenerate (only when a pricing change is intended)::
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -73,7 +80,7 @@ def _hub(graph) -> int:
     return int(np.argmax(graph.out_degrees()))
 
 
-def solver_cases(graph, plan, *, tigr_bc_engine="gather"):
+def solver_cases(graph, plan):
     """``(solver id, thunk)`` pairs; each thunk returns a result with
     ``values``, ``metrics`` and ``iterations``."""
     d = VERIFY_DEVICE
@@ -95,13 +102,12 @@ def solver_cases(graph, plan, *, tigr_bc_engine="gather"):
     yield "sssp_batched", lambda: sssp_batched(plan, lanes, device=d)
     yield "tuned/sssp", lambda: sssp(plan, src, device=d, runner_factory=tuned)
     yield "tuned/pagerank", lambda: pagerank(plan, device=d, runner_factory=tuned)
-    for engine in ("gather", "batched", "reference"):
-        yield f"bc/{engine}", lambda e=engine: betweenness_centrality(
-            plan, engine=e, **bc
-        )
+    yield "bc/gather", lambda: totals_only(betweenness_centrality(plan, **bc))
+    yield "bc/batched", lambda: betweenness_centrality(plan, **bc)
+    yield "bc/reference", lambda: totals_only(betweenness_centrality(plan, **bc))
     yield "bc/outer", lambda: betweenness_centrality(plan, strategy="outer", **bc)
-    yield "bc/topology", lambda: betweenness_centrality(
-        plan, topology_driven=True, **bc
+    yield "bc/topology", lambda: totals_only(
+        betweenness_centrality(plan, topology_driven=True, **bc)
     )
     for s in SCHEDULES:
         yield f"sssp@{s}", lambda s=s: sssp(plan, src, device=d, schedule=s)
@@ -110,37 +116,48 @@ def solver_cases(graph, plan, *, tigr_bc_engine="gather"):
         yield f"sssp_batched@{s}", lambda s=s: sssp_batched(
             plan, lanes, device=d, schedule=s
         )
-        for engine in ("gather", "batched"):
-            yield f"bc/{engine}@{s}", lambda e=engine, s=s: (
-                betweenness_centrality(plan, engine=e, schedule=s, **bc)
-            )
+        yield f"bc/gather@{s}", lambda s=s: totals_only(
+            betweenness_centrality(plan, schedule=s, **bc)
+        )
+        yield f"bc/batched@{s}", lambda s=s: betweenness_centrality(
+            plan, schedule=s, **bc
+        )
     for algo in ("sssp", "pr", "bc"):
-        yield f"lonestar/{algo}", lambda a=algo: lonestar.run(
+        yield f"lonestar/{algo}", lambda a=algo: totals_only(lonestar.run(
             a, plan, source=src, num_bc_sources=BC_SOURCES, seed=BC_SEED, device=d
-        )
-        yield f"gunrock/{algo}", lambda a=algo: gunrock.run(
+        ))
+        yield f"gunrock/{algo}", lambda a=algo: totals_only(gunrock.run(
             a, plan, source=src, num_bc_sources=BC_SOURCES, seed=BC_SEED, device=d
-        )
+        ))
         if algo != "bc":
             yield f"tigr/{algo}", lambda a=algo: tigr.run(
                 a, plan, source=src, device=d
             )
-    yield "tigr/bc", lambda: tigr_bc(plan, tigr_bc_engine)
+    yield "tigr/bc", lambda: tigr_bc(plan)
 
 
-def tigr_bc(plan, engine: str = "gather"):
-    """Tigr-style BC (virtual-split charging) with the given engine."""
+def totals_only(res):
+    """``res`` without per-lane charges, as the looped engines left it."""
+    if not res.aux or "per_source_metrics" not in res.aux:
+        return res
+    aux = {k: v for k, v in res.aux.items() if k != "per_source_metrics"}
+    return dataclasses.replace(res, aux=aux)
+
+
+def tigr_bc(plan):
+    """Tigr-style BC (virtual-split charging) through a direct call."""
 
     def factory(p, dev):
         return tigr.TigrRunner(p, dev)
 
-    return betweenness_centrality(
-        plan,
-        num_sources=BC_SOURCES,
-        seed=BC_SEED,
-        engine=engine,
-        device=VERIFY_DEVICE,
-        runner_factory=factory,
+    return totals_only(
+        betweenness_centrality(
+            plan,
+            num_sources=BC_SOURCES,
+            seed=BC_SEED,
+            device=VERIFY_DEVICE,
+            runner_factory=factory,
+        )
     )
 
 
@@ -186,17 +203,16 @@ def plans() -> dict:
     return out
 
 
-def cases(*, tigr_bc_engine="gather"):
+def cases():
     """``(case id, thunk)`` for every pinned case."""
     for prefix, (graph, plan) in plans().items():
-        for sid, run in solver_cases(graph, plan, tigr_bc_engine=tigr_bc_engine):
+        for sid, run in solver_cases(graph, plan):
             yield f"{prefix}/{sid}", run
 
 
 def build_digests() -> dict:
-    # Tigr BC is pinned against the reference engine's per-level charges
     out = {"fields": list(FIELDS)}
-    for cid, run in cases(tigr_bc_engine="reference"):
+    for cid, run in cases():
         out[cid] = digest(run)
     return out
 

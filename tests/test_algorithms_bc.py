@@ -144,6 +144,37 @@ class TestStrategies:
         assert res.values.size == rmat_small.num_nodes
 
 
+class TestLaneGroups:
+    """A level whose stacked lanes exceed ``LANE_RECORDS`` records runs
+    in lane groups; grouping changes no value and no charge."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"schedule": "direction-optimizing"},
+            {"topology_driven": True},
+            {"strategy": "outer"},
+        ],
+        ids=["frontier", "scheduled", "topology", "outer"],
+    )
+    def test_grouped_levels_match_stacked(self, rmat_small, monkeypatch, kwargs):
+        import repro.algorithms.bc as bc_mod
+
+        plan = build_plan(rmat_small, "coalescing")
+        srcs = pick_sources(rmat_small.num_nodes, 6, seed=2)
+        whole = betweenness_centrality(plan, sources=srcs, **kwargs)
+        monkeypatch.setattr(bc_mod, "LANE_RECORDS", 8)
+        grouped = betweenness_centrality(plan, sources=srcs, **kwargs)
+        assert grouped.values.tobytes() == whole.values.tobytes()
+        assert grouped.iterations == whole.iterations
+        assert grouped.metrics.summary() == whole.metrics.summary()
+        if "per_source_metrics" in whole.aux:
+            assert [m.summary() for m in grouped.aux["per_source_metrics"]] == [
+                m.summary() for m in whole.aux["per_source_metrics"]
+            ]
+
+
 class TestBackwardReusesForwardCosts:
     """Unscheduled BC prices each forward level once; the backward pass
     ledgers those costs again instead of re-pricing the same sweeps."""
@@ -151,7 +182,6 @@ class TestBackwardReusesForwardCosts:
     @pytest.fixture
     def priced_sweeps(self, monkeypatch):
         import repro.gpusim.kernel as kernel
-        import repro.perf.batched as batched
 
         count = {"n": 0}
 
@@ -171,20 +201,12 @@ class TestBackwardReusesForwardCosts:
             "charge_sweeps_batched",
             counted(kernel.charge_sweeps_batched, len),
         )
-        monkeypatch.setattr(
-            batched, "charge_sweep", counted(batched.charge_sweep, lambda _: 1)
-        )
-        monkeypatch.setattr(
-            batched,
-            "charge_lane_sweeps",
-            counted(batched.charge_lane_sweeps, len),
-        )
         return count
 
-    @pytest.mark.parametrize("engine", ["gather", "batched"])
-    def test_each_level_priced_once(self, rmat_small, priced_sweeps, engine):
-        res = betweenness_centrality(rmat_small, num_sources=4, engine=engine)
-        ref = betweenness_centrality(rmat_small, num_sources=4, engine="reference")
-        assert priced_sweeps["n"] == res.iterations + ref.metrics.num_sweeps
+    @pytest.mark.parametrize("num_sources", [1, 4])
+    def test_each_level_priced_once(
+        self, rmat_small, priced_sweeps, num_sources
+    ):
+        res = betweenness_centrality(rmat_small, num_sources=num_sources)
+        assert priced_sweeps["n"] == res.iterations
         assert res.metrics.num_sweeps == 2 * res.iterations
-        assert res.metrics.total == ref.metrics.total

@@ -316,6 +316,40 @@ class TestPriceOnce:
         assert reused.metrics.num_sweeps == 2
         assert cycles.value == before + cost.cycles + cost.cycles
 
+    def test_price_batch_is_pure(self, rmat_small, monkeypatch):
+        # one pricing split, no ledgering: the eager-large and batched
+        # routes both return exactly what price() returns per sweep
+        monkeypatch.setattr(ExecutionContext, "BATCH_EAGER_EDGES", 16)
+        idx = rmat_small.indices.astype(np.int64)
+        sweeps = [
+            expand_frontier(rmat_small.offsets, idx, np.array(f, dtype=np.int64))
+            for f in ([0], [1, 2], list(range(3, 40)), [41, 50])
+        ]
+        ctx = ExecutionContext(rmat_small, K40C)
+        costs = ctx.price_batch(sweeps)
+        assert ctx.metrics.num_sweeps == 0
+        assert costs == [ctx.price(e.frontier, expansion=e) for e in sweeps]
+
+    def test_ledger_matches_repeats(self, rmat_small):
+        from repro.obs import metrics as obs_metrics
+
+        ctx = ExecutionContext(rmat_small, K40C)
+        costs = [ctx.price(np.array(f, dtype=np.int64)) for f in ([0], [1, 4], [9])]
+        cycles = obs_metrics.counter("solve.sim_cycles")
+        sweeps = obs_metrics.counter("solve.sweeps")
+        before = cycles.value, sweeps.value
+        ctx.ledger(costs)
+        looped = ExecutionContext(rmat_small, K40C)
+        for cost in costs:
+            looped.repeat(cost)
+        assert ctx.metrics.total == looped.metrics.total
+        assert ctx.metrics.num_sweeps == looped.metrics.num_sweeps == 3
+        assert sweeps.value == before[1] + 6
+        assert cycles.value == (
+            before[0] + costs[0].cycles + costs[1].cycles + costs[2].cycles
+            + costs[0].cycles + costs[1].cycles + costs[2].cycles
+        )
+
     def test_charge_batch_returns_costs_in_order(self, rmat_small):
         idx = rmat_small.indices.astype(np.int64)
         sweeps = [

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.bc import betweenness_centrality, pick_sources
 from repro.algorithms.bfs import bfs
+from repro.algorithms.common import Runner
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
 from repro.errors import AlgorithmError, SimulationError
@@ -34,6 +35,7 @@ from repro.perf.batched import (
 )
 from repro.perf.gather import expand_frontier
 from repro.perf.workspace import pool
+from repro.verify.differential import bc_lane_violations
 
 from strategies import adversarial_graphs
 
@@ -95,14 +97,14 @@ class TestExpandLanes:
 class TestLaneLedger:
     def test_defer_requires_flush(self, road):
         ctx = ExecutionContext(road, DEV)
-        ledger = LaneLedger(1)
+        ledger = LaneLedger(ctx, 1)
         exp = expand_frontier(road.offsets, road.indices, np.array([0]))
         ledger.defer(0, exp)
         with pytest.raises(SimulationError):
             ledger.lane_metrics(DEV)
         with pytest.raises(SimulationError):
-            ledger.replay(ctx)
-        ledger.flush(ctx)
+            ledger.replay()
+        ledger.flush()
         metrics = ledger.lane_metrics(DEV)
         assert metrics[0].num_sweeps == 1
 
@@ -114,10 +116,10 @@ class TestLaneLedger:
             for s in (2, 9, 31, 64)
         ]
         ctx = ExecutionContext(road, DEV)
-        ledger = LaneLedger(len(fronts))
+        ledger = LaneLedger(ctx, len(fronts))
         for lane, front in enumerate(fronts):
             ledger.defer(lane, expand_frontier(road.offsets, road.indices, front))
-        ledger.flush(ctx)
+        ledger.flush()
         for lane, front in enumerate(fronts):
             eager = ExecutionContext(road, DEV)
             eager.charge(active=front)
@@ -128,12 +130,12 @@ class TestLaneLedger:
 
     def test_replay_reproduces_looped_totals(self, road):
         fronts = [np.array([0, 1]), np.array([5])]
-        ledger = LaneLedger(2)
         ctx = ExecutionContext(road, DEV)
+        ledger = LaneLedger(ctx, 2)
         for lane, front in enumerate(fronts):
             ledger.defer(lane, expand_frontier(road.offsets, road.indices, front))
-        ledger.flush(ctx)
-        ledger.replay(ctx)
+        ledger.flush()
+        ledger.replay()
         looped = ExecutionContext(road, DEV)
         for front in fronts:
             looped.charge(active=front)
@@ -177,27 +179,41 @@ class TestBatchedEquivalence:
 
     @pytest.mark.parametrize("schedule", [None, "pull", "direction-optimizing"])
     def test_bc_batched_engine_matches_gather(self, road, schedule):
+        """Stacked BC lanes against the same sources gathered one per
+        call: scores, levels, and the replayed totals."""
         srcs = pick_sources(road.num_nodes, 5, 0)
-        ref = betweenness_centrality(
-            road, sources=srcs, engine="gather", device=DEV, schedule=schedule
-        )
         bat = betweenness_centrality(
-            road, sources=srcs, engine="batched", device=DEV, schedule=schedule
+            road, sources=srcs, device=DEV, schedule=schedule
         )
-        assert bat.values.tobytes() == ref.values.tobytes()
-        assert bat.iterations == ref.iterations
-        assert bat.metrics.summary() == ref.metrics.summary()
-        assert bat.metrics.num_sweeps == ref.metrics.num_sweeps
+        assert bc_lane_violations(
+            bat,
+            srcs,
+            "bc",
+            lambda s: betweenness_centrality(
+                road, sources=[s], device=DEV, schedule=schedule
+            ),
+        ) == []
+        # the total ledger is the sources run back to back on one runner
+        shared = []
+
+        def one_runner(plan, device):
+            if not shared:
+                shared.append(Runner(plan, device))
+            return shared[0]
+
+        for s in srcs:
+            betweenness_centrality(
+                road, sources=[int(s)], device=DEV, schedule=schedule,
+                runner_factory=one_runner,
+            )
+        assert bat.metrics.summary() == shared[0].metrics.summary()
+        assert bat.metrics.num_sweeps == shared[0].metrics.num_sweeps
 
     def test_bc_per_source_attribution(self, road):
         srcs = pick_sources(road.num_nodes, 4, 1)
-        bat = betweenness_centrality(
-            road, sources=srcs, engine="batched", device=DEV
-        )
+        bat = betweenness_centrality(road, sources=srcs, device=DEV)
         for k, s in enumerate(srcs):
-            solo = betweenness_centrality(
-                road, sources=[int(s)], engine="gather", device=DEV
-            )
+            solo = betweenness_centrality(road, sources=[int(s)], device=DEV)
             assert (
                 bat.aux["per_source_metrics"][k].summary()
                 == solo.metrics.summary()

@@ -11,7 +11,7 @@ from repro.graphs.csr import CSRGraph
 from repro.obs import metrics as obs_metrics
 from repro.perf.bench import check_regressions, main as perf_main, run_bench
 from repro.perf.edgeshare import edge_view_cache, shared_edge_view
-from repro.perf.gather import LevelBuckets, frontier_edges
+from repro.perf.gather import frontier_edges
 from repro.perf.workspace import (
     WorkspacePool,
     pool,
@@ -67,23 +67,6 @@ class TestFrontierEdges:
         )
         assert obs_metrics.counter("perf.gather.calls").value == calls + 1
         assert obs_metrics.counter("perf.gather.edges").value == edges + 3
-
-
-class TestLevelBuckets:
-    def test_matches_full_mask_per_key(self):
-        rng = np.random.default_rng(1)
-        keys = rng.integers(-1, 5, 200)  # -1 = unvisited sentinel
-        buckets = LevelBuckets(keys)
-        for k in range(5):
-            expect = np.nonzero(keys == k)[0]
-            got = buckets.at(k)
-            assert np.array_equal(got, expect)
-            assert np.all(np.diff(got) > 0) or got.size <= 1
-
-    def test_absent_key_empty(self):
-        buckets = LevelBuckets(np.array([0, 0, 2]))
-        assert buckets.at(1).size == 0
-        assert buckets.at(99).size == 0
 
 
 class TestWorkspacePool:
@@ -182,8 +165,12 @@ class TestBenchHarness:
         assert {"bc", "sssp", "wcc", "bfs", "pagerank", "gunrock_sssp"} <= kernels
         bc = next(r for r in report["kernels"] if r["kernel"] == "bc")
         assert bc["seconds"] > 0
-        assert "speedup_vs_reference" in bc
-        assert "bc" in report["aggregate_speedup_vs_reference"]
+        assert "speedup_vs_reference" not in bc  # one BC engine, no reference
+        assert set(report["aggregate_speedup_vs_reference"]) == {"sssp", "wcc"}
+        # the batched row's looped side: the same sources, one per call
+        stacked = next(r for r in report["kernels"] if r["kernel"] == "bc@batched")
+        assert stacked["looped_seconds"] > 0
+        assert stacked["speedup_vs_looped"] > 0
 
     def test_check_regressions(self):
         row = {"kernel": "bc", "graph": "rmat", "seconds": 1.0}

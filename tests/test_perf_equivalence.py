@@ -3,9 +3,11 @@
 The ``repro.perf`` engine is a pure host-side optimisation: for every
 solver it must produce **byte-identical values, identical iteration
 counts, and identical SimMetrics charges** to the pre-refactor reference
-paths preserved in :mod:`repro.perf.reference`.  These tests pin that
-contract across every plan technique (exact, coalescing, shmem,
-divergence) and both BC parallelization strategies.
+paths preserved in :mod:`repro.perf.reference`.  BC has one engine,
+which stacks its sources as lanes: its reference is the same sources
+run one per call, lane by lane.  These tests pin that contract across
+every plan technique (exact, coalescing, shmem, divergence) and both BC
+parallelization strategies.
 
 Byte-identical means ``tobytes()`` equality — stricter than
 ``np.array_equal`` (distinguishes ``-0.0`` from ``0.0`` and NaN
@@ -18,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.bc import betweenness_centrality
+from repro.algorithms.bc import betweenness_centrality, pick_sources
 from repro.algorithms.sssp import sssp
 from repro.algorithms.wcc import wcc
 from repro.core.pipeline import build_plan
-from repro.perf.reference import bc_reference, sssp_reference, wcc_reference
+from repro.perf.reference import sssp_reference, wcc_reference
+from repro.verify.differential import bc_lane_violations
 
 TECHNIQUES = ("exact", "coalescing", "shmem", "divergence")
 
@@ -65,16 +68,37 @@ class TestWCCEquivalence:
         assert eng.aux["num_components"] == ref.aux["num_components"]
 
 
+def assert_lanes_match_solo(plan, stacked, sources, **kwargs):
+    """Stacked BC lanes == the same sources run one per call: per-lane
+    charges and level counts bit for bit, scores summed in source order."""
+    assert bc_lane_violations(
+        stacked,
+        sources,
+        "bc",
+        lambda s: betweenness_centrality(plan, sources=[s], **kwargs),
+    ) == []
+
+
 @pytest.mark.parametrize("technique", TECHNIQUES)
 @pytest.mark.parametrize("strategy", ["inner", "outer"])
 class TestBCEquivalence:
     def test_rmat(self, rmat_small, technique, strategy):
         plan = _plan_for(rmat_small, technique)
-        eng = betweenness_centrality(
-            plan, num_sources=4, seed=1, strategy=strategy, engine="gather"
-        )
-        ref = bc_reference(plan, num_sources=4, seed=1, strategy=strategy)
-        assert_identical(eng, ref)
+        sources = pick_sources(rmat_small.num_nodes, 4, seed=1)
+        inner = betweenness_centrality(plan, sources=sources)
+        assert_lanes_match_solo(plan, inner, sources)
+        if strategy == "outer":
+            # outer merges each level's lanes into one sweep: the same
+            # traversal, so the same scores and levels, fewer sweeps
+            outer = betweenness_centrality(plan, sources=sources, strategy="outer")
+            assert outer.values.tobytes() == inner.values.tobytes()
+            assert outer.iterations == inner.iterations
+            assert (
+                outer.aux["per_source_iterations"]
+                == inner.aux["per_source_iterations"]
+            )
+            assert "per_source_metrics" not in outer.aux
+            assert outer.metrics.num_sweeps < inner.metrics.num_sweeps
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)
@@ -111,30 +135,29 @@ class TestScheduleEquivalence:
         assert eng.iterations == ref.iterations
 
     def test_bc_values_match_reference(self, rmat_small, technique, schedule):
+        # reference: the same sources, unscheduled, one per call
         plan = _plan_for(rmat_small, technique)
-        eng = betweenness_centrality(
-            plan, num_sources=4, seed=1, schedule=schedule
-        )
-        ref = bc_reference(plan, num_sources=4, seed=1, strategy="inner")
-        assert eng.values.dtype == ref.values.dtype
-        assert eng.values.tobytes() == ref.values.tobytes()
-        assert eng.iterations == ref.iterations
+        sources = pick_sources(rmat_small.num_nodes, 4, seed=1)
+        eng = betweenness_centrality(plan, sources=sources, schedule=schedule)
         if schedule == "push":
-            assert_identical(eng, ref)
+            assert_lanes_match_solo(plan, eng, sources)
+        else:
+            ref = betweenness_centrality(plan, sources=sources)
+            assert eng.values.dtype == ref.values.dtype
+            assert eng.values.tobytes() == ref.values.tobytes()
+            assert eng.iterations == ref.iterations
+            assert_lanes_match_solo(plan, eng, sources, schedule=schedule)
 
 
 class TestBCEngineValidation:
     def test_unknown_engine_rejected(self, tiny_graph):
-        from repro.errors import AlgorithmError
-
-        with pytest.raises(AlgorithmError, match="engine"):
-            betweenness_centrality(tiny_graph, num_sources=1, engine="warp9")
+        # there is one engine: the old switch is not an argument any more
+        with pytest.raises(TypeError, match="engine"):
+            betweenness_centrality(tiny_graph, num_sources=1, engine="gather")
 
     def test_topology_driven_equivalence(self, rmat_small):
+        sources = pick_sources(rmat_small.num_nodes, 2, seed=0)
         eng = betweenness_centrality(
-            rmat_small, num_sources=2, seed=0, topology_driven=True
+            rmat_small, sources=sources, topology_driven=True
         )
-        ref = bc_reference(
-            rmat_small, num_sources=2, seed=0, topology_driven=True
-        )
-        assert_identical(eng, ref)
+        assert_lanes_match_solo(rmat_small, eng, sources, topology_driven=True)

@@ -14,9 +14,21 @@ import json
 
 import pytest
 
+from repro.baselines import tigr
+from repro.verify.cli import VERIFY_DEVICE
 from repro.verify.corpus import default_corpus
 
-from pricing_digests import FIELDS, FIXTURE, SEED, cases, digest, plans, tigr_bc
+from pricing_digests import (
+    BC_SEED,
+    BC_SOURCES,
+    FIELDS,
+    FIXTURE,
+    SEED,
+    totals_only,
+    cases,
+    digest,
+    plans,
+)
 
 EXPECTED = json.loads(FIXTURE.read_text())
 PINNED_FIELDS = EXPECTED.pop("fields")
@@ -36,9 +48,22 @@ def test_pricing_matches_fixture(cid):
 @pytest.mark.parametrize("gname", sorted(default_corpus(SEED)))
 @pytest.mark.parametrize("technique", ["exact", "coalescing"])
 def test_tigr_bc_gather_prices_like_reference(gname, technique):
-    """The default BC engine batches its level sweeps; under Tigr each
-    of them must still be priced over the virtual split."""
+    """``tigr.run("bc")`` prices every lane's level sweeps through the
+    virtual split, exactly like the per-level reference charges the
+    ``tigr/bc`` cases were pinned from (and ledgers no ``solve.*``
+    counters)."""
     _graph, plan = plans()[f"{gname}/{technique}"]
-    assert digest(lambda: tigr_bc(plan)) == digest(
-        lambda: tigr_bc(plan, engine="reference")
+    expected = EXPECTED[f"{gname}/{technique}/tigr/bc"]
+    got = digest(
+        lambda: totals_only(
+            tigr.run(
+                "bc",
+                plan,
+                num_bc_sources=BC_SOURCES,
+                seed=BC_SEED,
+                device=VERIFY_DEVICE,
+            )
+        )
     )
+    assert got == expected
+    assert got["counter_sweeps"] == got["counter_cycles"] == "0x0p+0"

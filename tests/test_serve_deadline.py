@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.algorithms.bc import betweenness_centrality
 from repro.algorithms.sssp import sssp
 from repro.core.pipeline import build_plan
 from repro.errors import DeadlineExceeded
@@ -98,6 +99,40 @@ class TestDeadlineRunner:
             sssp(plan, 0, runner_factory=deadline_runner_factory(deadline))
         elapsed = time.perf_counter() - t0
         assert elapsed < 2.0
+
+    @pytest.mark.parametrize("strategy", ["inner", "outer"])
+    @pytest.mark.parametrize("num_sources", [1, 4])
+    def test_bc_expired_runs_zero_sweeps(self, rmat_small, strategy, num_sources):
+        plan = build_plan(rmat_small, "coalescing")
+        with pytest.raises(DeadlineExceeded, match="sweep"):
+            betweenness_centrality(
+                plan,
+                num_sources=num_sources,
+                strategy=strategy,
+                runner_factory=deadline_runner_factory(Deadline(0.0)),
+            )
+        assert obs_metrics.snapshot()["counters"].get("solve.sweeps", 0) == 0
+
+    def test_bc_checks_once_per_stacked_level(self, rmat_small):
+        """Both passes check the deadline at every stacked level, so a
+        budget that runs out during the backward pass stops it too."""
+
+        class Counting(Deadline):
+            __slots__ = ("checks",)
+
+            def check(self, stage):
+                self.checks.append(stage)
+                super().check(stage)
+
+        deadline = Counting(None)
+        deadline.checks = []
+        res = betweenness_centrality(
+            rmat_small,
+            num_sources=4,
+            runner_factory=deadline_runner_factory(deadline),
+        )
+        depth = max(res.aux["per_source_iterations"])
+        assert deadline.checks == ["sweep"] * (2 * depth)
 
     def test_factory_binds_deadline(self, rmat_small):
         plan = build_plan(rmat_small, "exact")

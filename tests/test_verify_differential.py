@@ -10,7 +10,7 @@ import pytest
 from repro.core.pipeline import build_plan
 from repro.verify.corpus import default_corpus
 from repro.verify.differential import (
-    check_bc_engines,
+    check_batched,
     check_cache_differential,
     check_serial_parallel,
     plans_identical,
@@ -23,9 +23,10 @@ def corpus():
 
 
 @pytest.mark.parametrize("technique", ["exact", "coalescing", "divergence"])
-def test_bc_engines_agree(corpus, technique, small_device):
+def test_batched_bc_lanes_agree(corpus, technique, small_device):
+    """Stacked BFS/SSSP/BC lanes decompose into their one-per-call runs."""
     assert (
-        check_bc_engines(
+        check_batched(
             corpus["social"], technique=technique, seed=1, device=small_device
         )
         == []
